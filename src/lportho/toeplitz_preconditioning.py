@@ -4,10 +4,10 @@ A banded symmetric Toeplitz matrix generated by a trigonometric polynomial
 is approximated by the circulant that minimizes the entrywise p-norm of the
 difference. The minimizer has a per-diagonal closed form (a weighted power
 mean of the two Toeplitz offsets each circulant diagonal touches), so
-constructing it costs O(n). Matrix-vector products use circulant embedding,
-preconditioner applications use eigenvalue division, and the solver is a
-standard preconditioned conjugate gradient with explicit failure reporting
-for singular or indefinite preconditioners.
+constructing it costs O(n). Matrix-vector products are an O(n x stored
+diagonals) stencil, preconditioner applications use eigenvalue division, and
+the solver is a standard preconditioned conjugate gradient with explicit
+failure reporting for singular or indefinite preconditioners.
 
 The quartic model family f(theta) = alpha + beta(2-2cos) + gamma(2-2cos)^2
 gets dedicated support: pentadiagonal coefficients, a closed-form spectrum
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "PreconditionerSingular",
@@ -131,13 +130,12 @@ class ToeplitzOperator:
     """Symmetric-storage Toeplitz matrix given by its diagonal coefficients.
 
     Matrix entries are A[i, j] = diagonals[i - j]; missing offsets are zero.
-    Matvecs run through a cached circulant embedding of FFT-friendly length.
+    Matvecs are an O(n x stored diagonals) stencil.
     """
 
     n: int
     diagonals: Mapping[int, float]
     symbol: Optional[ToeplitzSymbol] = None
-    _embedding: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -153,19 +151,6 @@ class ToeplitzOperator:
     def is_symmetric(self) -> bool:
         d = self.diagonals
         return self.is_real and all(d.get(k, 0) == d.get(-k, 0) for k in d)
-
-    def _embed(self) -> tuple:
-        """FFT of the length-m circulant embedding of the diagonals, cached."""
-        if self._embedding is None:
-            m = scipy.fft.next_fast_len(2 * self.n - 1)
-            v = np.zeros(m, dtype=float if self.is_real else complex)
-            for k, val in self.diagonals.items():
-                if k >= 0:
-                    v[k] = val
-                else:
-                    v[m + k] = val
-            object.__setattr__(self, "_embedding", (np.fft.fft(v), m, self.is_real))
-        return self._embedding
 
     def to_dense(self) -> np.ndarray:
         idx = np.subtract.outer(np.arange(self.n), np.arange(self.n))
@@ -269,9 +254,10 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
     k = np.arange(n)
     d = T.diagonals
     complex_vals = any(np.iscomplexobj(np.asarray(v)) for v in d.values())
-    dtype = complex if complex_vals else float
-    t_pos = np.array([d.get(int(j), 0) for j in k], dtype=dtype)
-    t_neg = np.array([d.get(int(j) - n, 0) for j in k], dtype=dtype)
+    t_pos = np.zeros(n, dtype=complex if complex_vals else float)  # t_pos[k] = t_k
+    t_neg = np.zeros_like(t_pos)  # t_neg[k] = t_(k-n)
+    for j, v in d.items():  # stored offsets have |j| < n
+        (t_pos if j >= 0 else t_neg)[j % n] = v
 
     count_pos = (n - k).astype(float)
     count_neg = k.astype(float)
@@ -344,14 +330,17 @@ def strang_type_correction(C: CirculantMatrix, threshold: float = 0.0) -> Circul
 
 
 def toeplitz_matvec(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
-    """Product T @ x through the circulant embedding, O(n log n)."""
+    """Product T @ x as an O(n x stored diagonals) stencil; complex if T or x is."""
     x = np.asarray(x)
-    if x.shape != (T.n,):
-        raise ValueError(f"operand must have shape ({T.n},), got {x.shape}")
-    vhat, m, operator_real = T._embed()
-    y = np.fft.ifft(np.fft.fft(x, m) * vhat)[: T.n]
-    if operator_real and not np.iscomplexobj(x):
-        return y.real
+    n = T.n
+    if x.shape != (n,):
+        raise ValueError(f"operand must have shape ({n},), got {x.shape}")
+    y = np.zeros(n, dtype=np.result_type(x, np.float64, *T.diagonals.values()))
+    for k, t in T.diagonals.items():
+        if k >= 0:
+            y[k:] += t * x[: n - k]
+        else:
+            y[: n + k] += t * x[-k:]
     return y
 
 
@@ -427,6 +416,8 @@ def pcg_solve(
         raise ValueError("tol must be positive")
     if maxit is None:
         maxit = 10 * T.n
+    elif maxit < 0:
+        raise ValueError(f"maxit must be >= 0, got {maxit}")
     p_used = M.p if M is not None else None
 
     bnorm = float(np.linalg.norm(b))
@@ -588,6 +579,8 @@ class BenchmarkConfig:
             raise ValueError("p_list entries must be >= 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
+        if self.maxit is not None and self.maxit < 0:
+            raise ValueError(f"maxit must be >= 0, got {self.maxit}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "p_list", tuple(float(p) for p in self.p_list))
 

@@ -261,6 +261,16 @@ class TestPrecondBench:
         assert code == 1
         assert "error" in err
 
+    def test_negative_maxit_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, {"alpha": 1, "beta": 2, "gamma": 3, "n_list": [8], "p_list": [2], "maxit": -2}
+        )
+        code, _, err = run_cli(
+            capsys, ["precond-bench", "--config", cfg, "--out-dir", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert "maxit" in err
+
 
 class TestSpectrum:
     def test_diagnostic_summary(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from lportho.toeplitz_preconditioning import (
     DEFAULT_PCG_TOL,
@@ -82,9 +83,9 @@ def frobenius_class_means(dense: np.ndarray) -> np.ndarray:
     return np.array([dense[idx == k].mean() for k in range(n)])
 
 
-def dense_from_diagonals(n: int, diagonals: dict) -> np.ndarray:
-    col = np.array([diagonals.get(i, 0.0) for i in range(n)], dtype=float)
-    row = np.array([diagonals.get(-j, 0.0) for j in range(n)], dtype=float)
+def dense_from_diagonals(n: int, diagonals: dict, dtype=float) -> np.ndarray:
+    col = np.array([diagonals.get(i, 0.0) for i in range(n)], dtype=dtype)
+    row = np.array([diagonals.get(-j, 0.0) for j in range(n)], dtype=dtype)
     return scipy.linalg.toeplitz(col, row)
 
 
@@ -247,6 +248,39 @@ class TestLpCirculantMinimizer:
         with pytest.raises(ValueError):
             lp_circulant_minimizer(T, 0.99)
 
+    @pytest.mark.parametrize("p", [1.0, 1.6, 3.0])
+    @pytest.mark.parametrize(
+        "diagonals",
+        [
+            ToeplitzSymbol.from_model(0, 2, 8).coefficients,
+            {0: 0.5, 1: -1.25, -3: 2.0, 7: 0.75},
+            {0: 1.0, 2: 0.5 - 0.25j, -2: 0.5 + 0.25j},
+        ],
+    )
+    def test_prime_n_matches_per_class_lookup(self, diagonals, p):
+        # Definitional form: look up offsets k and k - n for every class k.
+        n = 10007
+        T = ToeplitzOperator(n, diagonals)
+        d = T.diagonals
+        dtype = complex if any(isinstance(v, complex) for v in d.values()) else float
+        t_pos = np.array([d.get(k, 0) for k in range(n)], dtype=dtype)
+        t_neg = np.array([d.get(k - n, 0) for k in range(n)], dtype=dtype)
+        count_pos = (n - np.arange(n)).astype(float)
+        count_neg = np.arange(n).astype(float)
+        if p == 1.0:
+            want = np.where(count_neg > count_pos, t_neg, t_pos)
+        else:
+            major_is_pos = count_pos >= count_neg
+            val_major = np.where(major_is_pos, t_pos, t_neg)
+            val_minor = np.where(major_is_pos, t_neg, t_pos)
+            big = np.maximum(count_pos, count_neg)
+            small = np.minimum(count_pos, count_neg)
+            w = (small / big) ** (1.0 / (p - 1.0))
+            want = (val_major + val_minor * w) / (1.0 + w)
+        got = lp_circulant_minimizer(T, p).first_column
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
 
 class TestCirculantMatrix:
     def test_small_spectrum_by_hand(self):
@@ -365,6 +399,41 @@ class TestToeplitzMatvec:
         with pytest.raises(ValueError):
             toeplitz_matvec(T, np.ones(5))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_n_drops_offsets_beyond_the_matrix(self, n):
+        rng = np.random.default_rng(8)
+        diagonals = {k: float(rng.standard_normal()) for k in range(-3, 4)}
+        T = ToeplitzOperator(n, diagonals)
+        x = rng.standard_normal(n)
+        got = toeplitz_matvec(T, x)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, dense_from_diagonals(n, diagonals) @ x, rtol=1e-14, atol=1e-14)
+
+    def test_prime_n_matches_sparse_diags(self):
+        n = 10007
+        rng = np.random.default_rng(9)
+        diagonals = {k: float(rng.standard_normal()) for k in (-2, -1, 0, 1, 2, 5)}
+        # scipy.sparse.diags puts offset m on A[i, i + m]; here A[i, j] = t_(i - j)
+        A = scipy.sparse.diags(list(diagonals.values()), [-k for k in diagonals], shape=(n, n))
+        x = rng.standard_normal(n)
+        T = ToeplitzOperator(n, diagonals)
+        np.testing.assert_allclose(toeplitz_matvec(T, x), A @ x, rtol=1e-13, atol=1e-13)
+
+    def test_complex_diagonals_real_operand(self):
+        n = 11
+        diagonals = {0: 2.0 + 1.0j, 1: -0.5j, -1: 0.25, 3: 1.0 - 2.0j}
+        x = np.random.default_rng(10).standard_normal(n)
+        got = toeplitz_matvec(ToeplitzOperator(n, diagonals), x)
+        assert got.dtype == np.complex128
+        np.testing.assert_allclose(got, dense_from_diagonals(n, diagonals, complex) @ x, atol=1e-13)
+
+    def test_operator_without_main_diagonal(self):
+        n = 13
+        diagonals = {1: 1.5, -2: -0.75, 4: 0.5}
+        x = np.random.default_rng(11).standard_normal(n)
+        got = toeplitz_matvec(ToeplitzOperator(n, diagonals), x)
+        np.testing.assert_allclose(got, dense_from_diagonals(n, diagonals) @ x, atol=1e-13)
+
 
 class TestCirculantSolve:
     def test_identity(self):
@@ -459,6 +528,13 @@ class TestPcgSolve:
         with pytest.raises(ValueError):
             pcg_solve(T, np.full(6, np.nan))
 
+    def test_rejects_negative_maxit(self):
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 6)
+        with pytest.raises(ValueError, match="maxit"):
+            pcg_solve(T, np.ones(6), maxit=-3)
+        report = pcg_solve(T, np.ones(6), maxit=0)
+        assert (report.status, report.iterations) == ("max_iterations", 0)
+
 
 class TestSelectPTilde:
     GRID = [1.0, 1.4, 1.6, 1.8, 3.0, 5.0, 10.0]
@@ -544,6 +620,14 @@ class TestBenchmark:
             BenchmarkConfig(1, 2, 3, (8,), (0.5,))
         with pytest.raises(ValueError):
             BenchmarkConfig(1, 2, 3, (), (2.0,))
+
+    def test_config_rejects_negative_maxit(self):
+        with pytest.raises(ValueError, match="maxit"):
+            BenchmarkConfig(1, 2, 3, (8,), (2.0,), maxit=-2)
+        with pytest.raises(ValueError, match="maxit"):
+            BenchmarkConfig.from_dict(
+                {"alpha": 1, "beta": 2, "gamma": 3, "n_list": [8], "p_list": [2], "maxit": -2}
+            )
 
     def test_small_sweep_cells(self):
         cfg = BenchmarkConfig(1, 2, 3, (100,), (1.0,))
