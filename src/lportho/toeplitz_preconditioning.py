@@ -5,9 +5,12 @@ is approximated by the circulant that minimizes the entrywise p-norm of the
 difference. The minimizer has a per-diagonal closed form (a weighted power
 mean of the two Toeplitz offsets each circulant diagonal touches), so
 constructing it costs O(n). Matrix-vector products are an O(n x stored
-diagonals) stencil, preconditioner applications use eigenvalue division, and
-the solver is a standard preconditioned conjugate gradient with explicit
-failure reporting for singular or indefinite preconditioners.
+diagonals) stencil. A circulant keeps one spectrum, its eigenvalues; a real
+one is inverted with real FFTs only, by half-spectrum division when n is
+7-smooth and otherwise by a folded power-of-two convolution, so no apply
+takes the slow (Bluestein) FFT of a prime length. The solver is a standard
+preconditioned conjugate gradient with explicit failure reporting for
+singular or indefinite preconditioners.
 
 The quartic model family f(theta) = alpha + beta(2-2cos) + gamma(2-2cos)^2
 gets dedicated support: pentadiagonal coefficients, a closed-form spectrum
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -172,9 +175,10 @@ class CirculantMatrix:
     """Circulant matrix stored by first column, eigenvalues cached.
 
     Eigenvalues follow the convention lambda = sqrt(n) F* c (the unnormalized
-    inverse DFT of the first column); a symmetric first column gives a real
-    spectrum. p records the exponent used to build the matrix when it came
-    from a minimization, None otherwise.
+    inverse DFT of the first column); a symmetric real first column gives a
+    real spectrum. It is the only spectrum kept: solves take their Fourier
+    multipliers from it. p records the exponent used to build the matrix
+    when it came from a minimization, None otherwise.
     """
 
     n: int
@@ -182,7 +186,6 @@ class CirculantMatrix:
     p: Optional[float] = None
     symbol: Optional[ToeplitzSymbol] = None
     _eig: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _eig_solve: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         col = np.asarray(self.first_column)
@@ -205,14 +208,6 @@ class CirculantMatrix:
                 lam = lam.real
             object.__setattr__(self, "_eig", lam)
         return self._eig
-
-    @property
-    def _solve_spectrum(self) -> np.ndarray:
-        # Forward-DFT eigenvalue labeling, matching ifft(fft(c) * fft(x))
-        # as the matvec factorization. Same multiset as `eigenvalues`.
-        if self._eig_solve is None:
-            object.__setattr__(self, "_eig_solve", np.fft.fft(self.first_column))
-        return self._eig_solve
 
     @property
     def num_negative_eigenvalues(self) -> int:
@@ -332,9 +327,13 @@ def strang_type_correction(C: CirculantMatrix, threshold: float = 0.0) -> Circul
 def toeplitz_matvec(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
     """Product T @ x as an O(n x stored diagonals) stencil; complex if T or x is."""
     x = np.asarray(x)
+    if x.shape != (T.n,):
+        raise ValueError(f"operand must have shape ({T.n},), got {x.shape}")
+    return _stencil(T, x)
+
+
+def _stencil(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
     n = T.n
-    if x.shape != (n,):
-        raise ValueError(f"operand must have shape ({n},), got {x.shape}")
     y = np.zeros(n, dtype=np.result_type(x, np.float64, *T.diagonals.values()))
     for k, t in T.diagonals.items():
         if k >= 0:
@@ -344,27 +343,68 @@ def toeplitz_matvec(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
-    """Solve C z = r by eigenvalue division in the Fourier domain.
+def _check_nonsingular(lam: np.ndarray) -> None:
+    """Raise PreconditionerSingular unless min |lambda| > SINGULARITY_RTOL max |lambda|."""
+    absl = np.abs(lam)
+    lmax, lmin = float(np.max(absl)), float(np.min(absl))
+    if lmax == 0.0 or lmin <= SINGULARITY_RTOL * lmax:
+        raise PreconditionerSingular(
+            f"circulant is singular to machine precision (min |lambda| = {lmin:.3e}, max = {lmax:.3e})"
+        )
 
-    Raises PreconditionerSingular when the smallest eigenvalue modulus does
-    not exceed SINGULARITY_RTOL times the largest (singular to machine
-    precision).
+
+def _is_7_smooth(n: int) -> bool:
+    """No prime factor above 7: numpy's FFT of length n needs no Bluestein pass."""
+    for f in (2, 3, 5, 7):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
+def _real_inverse(C: CirculantMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The map r -> C^(-1) r for a real first column and real r.
+
+    half = conj(eigenvalues[: n // 2 + 1]) is rfft of the first column.
+    When n is 7-smooth (no prime factor above 7) an apply is
+    irfft(rfft(r) / half). Otherwise the first column of C^(-1),
+    irfft(1 / half), is transformed once at the power of two m >= 2n - 1,
+    and an apply is a linear convolution by one rfft and one irfft of
+    length m with the tail y[n:2n-1] folded onto y[:n-1]: circular
+    convolution without an FFT of length n. Raises PreconditionerSingular.
+    """
+    n = C.n
+    _check_nonsingular(C.eigenvalues)
+    half = np.conj(C.eigenvalues[: n // 2 + 1])
+    if _is_7_smooth(n):
+        return lambda r: np.fft.irfft(np.fft.rfft(r) / half, n)
+    m = 1 << (2 * n - 2).bit_length()
+    kernel = np.fft.rfft(np.fft.irfft(1.0 / half, n), m)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        y = np.fft.irfft(np.fft.rfft(r, m) * kernel, m)
+        y[: n - 1] += y[n : 2 * n - 1]
+        return y[:n]
+
+    return apply
+
+
+def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
+    """Solve C z = r by division by the eigenvalues in the Fourier domain.
+
+    A real column and a real r take real FFTs only: half-spectrum division
+    when n is 7-smooth, a folded power-of-two convolution with the first
+    column of C^(-1) otherwise. A complex column or r gives the complex
+    z = fft(ifft(r) / lambda). Raises PreconditionerSingular when the
+    smallest eigenvalue modulus does not exceed SINGULARITY_RTOL times the
+    largest (singular to machine precision).
     """
     r = np.asarray(r)
     if r.shape != (C.n,):
         raise ValueError(f"operand must have shape ({C.n},), got {r.shape}")
-    lam = C._solve_spectrum
-    absl = np.abs(lam)
-    lmax = float(np.max(absl))
-    if lmax == 0.0 or float(np.min(absl)) <= SINGULARITY_RTOL * lmax:
-        raise PreconditionerSingular(
-            f"circulant is singular to machine precision (min |lambda| = {float(np.min(absl)):.3e}, max = {lmax:.3e})"
-        )
-    z = np.fft.ifft(np.fft.fft(r) / lam)
-    if not np.iscomplexobj(r) and not np.iscomplexobj(C.first_column):
-        return z.real
-    return z
+    if np.iscomplexobj(r) or np.iscomplexobj(C.first_column):
+        _check_nonsingular(C.eigenvalues)
+        return np.fft.fft(np.fft.ifft(r) / C.eigenvalues)
+    return _real_inverse(C)(r)
 
 
 STATUS_CONVERGED = "converged"
@@ -381,6 +421,9 @@ class SolveReport:
     per iteration; it is empty only when the preconditioner was rejected as
     singular before any work happened. p_used records the exponent behind
     the preconditioner, None for unpreconditioned runs.
+    true_relative_residual is ||b - T x||_2 / ||b||_2 of the returned
+    solution from one matvec at exit; it can exceed the last recursive
+    residual, and it is None when there is no solution.
     """
 
     iterations: int
@@ -388,6 +431,7 @@ class SolveReport:
     status: str
     p_used: Optional[float]
     solution: Optional[np.ndarray] = None
+    true_relative_residual: Optional[float] = None
 
 
 def pcg_solve(
@@ -400,7 +444,11 @@ def pcg_solve(
     """Conjugate gradient on T x = b, optionally preconditioned by M.
 
     Stops when the relative residual ||b - T x||_2 / ||b||_2 drops to tol
-    (residuals tracked recursively) or after maxit iterations, default 10n.
+    (residuals tracked recursively) or after maxit iterations, default 10n;
+    the true residual of the returned solution is reported beside it. M must
+    match T's dimension and have a real first column (ValueError otherwise).
+    Each iteration makes one matvec and one apply of M^(-1), built once per
+    solve from M's eigenvalues as in circulant_solve (real FFTs only).
     A singular M is reported as preconditioner_singular without iterating;
     a nonpositive preconditioned inner product r.z reports
     preconditioner_indefinite at the iteration where it appears.
@@ -418,35 +466,40 @@ def pcg_solve(
         maxit = 10 * T.n
     elif maxit < 0:
         raise ValueError(f"maxit must be >= 0, got {maxit}")
+    if M is not None:
+        if M.n != T.n:
+            raise ValueError(f"preconditioner dimension {M.n} differs from operator dimension {T.n}")
+        if np.iscomplexobj(M.first_column):
+            raise ValueError("preconditioner must have a real first column")
     p_used = M.p if M is not None else None
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return SolveReport(0, (0.0,), STATUS_CONVERGED, p_used, np.zeros(T.n))
+        return SolveReport(0, (0.0,), STATUS_CONVERGED, p_used, np.zeros(T.n), 0.0)
 
-    lam = None
-    if M is not None:
-        absl = np.abs(M._solve_spectrum)
-        lmax = float(np.max(absl))
-        if lmax == 0.0 or float(np.min(absl)) <= SINGULARITY_RTOL * lmax:
+    if M is None:
+        precondition = np.copy  # a fresh array: the updates below write r in place
+    else:
+        try:
+            precondition = _real_inverse(M)
+        except PreconditionerSingular:
             return SolveReport(0, (), STATUS_SINGULAR, p_used, None)
-        lam = M._solve_spectrum
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        if lam is None:
-            return r
-        return np.fft.ifft(np.fft.fft(r) / lam).real
 
     x = np.zeros(T.n)
     r = b.copy()
     residuals = [1.0]
+
+    def report(iterations: int, status: str, solution: Optional[np.ndarray]) -> SolveReport:
+        true_res = None if solution is None else float(np.linalg.norm(b - _stencil(T, solution))) / bnorm
+        return SolveReport(iterations, tuple(residuals), status, p_used, solution, true_res)
+
     if residuals[-1] <= tol:
-        return SolveReport(0, tuple(residuals), STATUS_CONVERGED, p_used, x)
+        return report(0, STATUS_CONVERGED, x)
 
     z = precondition(r)
     rho = float(r @ z)
     if rho <= 0.0:
-        return SolveReport(0, tuple(residuals), STATUS_INDEFINITE, p_used, None)
+        return report(0, STATUS_INDEFINITE, None)
     d = z
     for it in range(1, maxit + 1):
         q = toeplitz_matvec(T, d)
@@ -454,18 +507,19 @@ def pcg_solve(
         if not dq > 0.0:
             raise ArithmeticError("conjugate gradient breakdown: operator is not positive definite")
         alpha = rho / dq
-        x = x + alpha * d
-        r = r - alpha * q
+        x += alpha * d
+        r -= alpha * q
         residuals.append(float(np.linalg.norm(r)) / bnorm)
         if residuals[-1] <= tol:
-            return SolveReport(it, tuple(residuals), STATUS_CONVERGED, p_used, x)
+            return report(it, STATUS_CONVERGED, x)
         z = precondition(r)
         rho_next = float(r @ z)
         if rho_next <= 0.0:
-            return SolveReport(it, tuple(residuals), STATUS_INDEFINITE, p_used, None)
-        d = z + (rho_next / rho) * d
+            return report(it, STATUS_INDEFINITE, None)
+        d *= rho_next / rho
+        d += z
         rho = rho_next
-    return SolveReport(maxit, tuple(residuals), STATUS_MAX_ITERATIONS, p_used, x)
+    return report(maxit, STATUS_MAX_ITERATIONS, x)
 
 
 def select_p_tilde(
@@ -503,8 +557,9 @@ def select_p_tilde(
                 return p
             continue
         # exact mode: look at the preconditioned spectrum itself
-        absl = np.abs(C._solve_spectrum)
-        if float(np.min(absl)) <= SINGULARITY_RTOL * float(np.max(absl)):
+        try:
+            _check_nonsingular(lam)
+        except PreconditionerSingular:
             continue
         if near_real and float(np.min(np.real(lam))) > 0.0:
             evals = preconditioned_spectrum_diagnostic(T, C).eigenvalues.astype(complex)
@@ -690,23 +745,20 @@ def _cell_text(cell: BenchmarkCell) -> str:
     return "#"
 
 
+def _table_rows(result: BenchmarkResult) -> list[list[str]]:
+    """Header row, then one row per n: iteration counts, '#' for failed cells."""
+    p_cols = list(result.config.p_list) + [None]
+    header = ["n"] + [f"p={_format_p_label(p)}" for p in result.config.p_list] + ["n. p."]
+    rows = [[str(n)] + [_cell_text(result.cell(n, p)) for p in p_cols] for n in result.config.n_list]
+    return [header] + rows
+
+
 def render_table_csv(result: BenchmarkResult) -> str:
-    cols = [f"p={_format_p_label(p)}" for p in result.config.p_list] + ["n. p."]
-    lines = ["n," + ",".join(cols)]
-    for n in result.config.n_list:
-        row = [str(n)]
-        for p in list(result.config.p_list) + [None]:
-            row.append(_cell_text(result.cell(n, p)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in _table_rows(result))
 
 
 def render_table_markdown(result: BenchmarkResult) -> str:
-    headers = ["n"] + [f"p={_format_p_label(p)}" for p in result.config.p_list] + ["n. p."]
-    lines = ["| " + " | ".join(headers) + " |", "|" + "|".join(["---"] * len(headers)) + "|"]
-    for n in result.config.n_list:
-        row = [str(n)]
-        for p in list(result.config.p_list) + [None]:
-            row.append(_cell_text(result.cell(n, p)))
-        lines.append("| " + " | ".join(row) + " |")
+    header, *rows = _table_rows(result)
+    lines = ["| " + " | ".join(row) + " |" for row in [header] + rows]
+    lines.insert(1, "|" + "|".join(["---"] * len(header)) + "|")
     return "\n".join(lines) + "\n"

@@ -457,6 +457,44 @@ class TestCirculantSolve:
         with pytest.raises(PreconditionerSingular):
             circulant_solve(C, np.ones(100))
 
+    # 1, 2 and 3 have no prime factor above 7 (half-spectrum division);
+    # 11, 13, 97 and 1009 take the folded power-of-two convolution.
+    @pytest.mark.parametrize("n", [1, 2, 3, 11, 13, 97, 1009])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_real_paths_match_dense_solve(self, n, symmetric):
+        rng = np.random.default_rng(n)
+        col = 0.3 * rng.standard_normal(n)
+        col[0] += 2.0 + float(np.sum(np.abs(col)))  # diagonally dominant, so well conditioned
+        if symmetric:
+            col = 0.5 * (col + np.roll(col[::-1], 1))
+        C = CirculantMatrix(n, col)
+        assert C.has_symmetric_column == (symmetric or n <= 2)
+        r = rng.standard_normal(n)
+        got = circulant_solve(C, r)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        np.testing.assert_allclose(got, np.linalg.solve(C.to_dense(), r), rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("complex_column", [True, False])
+    def test_complex_operands_match_dense_solve(self, complex_column):
+        rng = np.random.default_rng(12)
+        col = 0.3 * rng.standard_normal(13) + (0.3j * rng.standard_normal(13) if complex_column else 0.0)
+        col[0] += 4.0
+        C = CirculantMatrix(13, col)
+        assert np.iscomplexobj(C.first_column) == complex_column
+        r = rng.standard_normal(13) + (0.0 if complex_column else 1j * rng.standard_normal(13))
+        got = circulant_solve(C, r)
+        assert np.iscomplexobj(got)
+        np.testing.assert_allclose(got, np.linalg.solve(C.to_dense(), r), atol=1e-13)
+
+    def test_prime_length_matches_complex_fft_formula(self):
+        n = 10007
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), n)
+        C = lp_circulant_minimizer(T, 1.0)
+        r = np.random.default_rng(13).standard_normal(n)
+        want = np.fft.ifft(np.fft.fft(r) / np.fft.fft(C.first_column)).real
+        got = circulant_solve(C, r)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
 
 class TestPcgSolve:
     def test_identity_converges_immediately(self):
@@ -534,6 +572,37 @@ class TestPcgSolve:
             pcg_solve(T, np.ones(6), maxit=-3)
         report = pcg_solve(T, np.ones(6), maxit=0)
         assert (report.status, report.iterations) == ("max_iterations", 0)
+
+    def test_rejects_preconditioner_of_other_dimension(self):
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 64)
+        M = lp_circulant_minimizer(build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 63), 1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            pcg_solve(T, np.ones(64), M)
+
+    def test_rejects_complex_preconditioner(self):
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 16)
+        col = lp_circulant_minimizer(T, 1.0).first_column + 1e-3j
+        with pytest.raises(ValueError, match="real first column"):
+            pcg_solve(T, np.ones(16), CirculantMatrix(16, col))
+
+    @pytest.mark.parametrize("p", [None, 2.0])
+    def test_true_residual_matches_dense_residual(self, p):
+        n = 40
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), n)
+        b = np.random.default_rng(14).standard_normal(n)
+        M = lp_circulant_minimizer(T, p) if p is not None else None
+        for maxit in (0, 2, None):
+            report = pcg_solve(T, b, M, maxit=maxit)
+            want = np.linalg.norm(b - T.to_dense() @ report.solution) / np.linalg.norm(b)
+            assert report.true_relative_residual == pytest.approx(want, rel=1e-6, abs=1e-13)
+        assert report.status == "converged" and report.true_relative_residual < 1e-8
+
+    def test_true_residual_absent_without_solution(self):
+        T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 100)
+        for p in (1.0, 1.4):  # singular, then indefinite
+            report = pcg_solve(T, np.ones(100), lp_circulant_minimizer(T, p))
+            assert report.solution is None and report.true_relative_residual is None
+        assert pcg_solve(T, np.zeros(100)).true_relative_residual == 0.0
 
 
 class TestSelectPTilde:
