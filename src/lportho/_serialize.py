@@ -2,15 +2,20 @@
 
 All numeric output files use 17 significant digits so that reruns diff
 cleanly and every double round-trips exactly. The stdlib json encoder
-insists on repr() for floats, hence the small emitter below.
+insists on repr() for floats, and with indent it runs its pure-Python
+encoder, hence the small emitter below. A list or tuple made only of
+floats (a signal, a spectrum) is formatted array-at-a-time by
+format_floats: one finiteness test, then C-level formatting joined once,
+with the same bytes as formatting each value with format_float.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, IO
+from itertools import repeat
+from typing import Any, IO, Iterator, Sequence
 
-__all__ = ["format_float", "dumps_json", "dump_json"]
+__all__ = ["format_float", "format_floats", "dumps_json", "dump_json"]
 
 
 def format_float(x: float) -> str:
@@ -18,6 +23,18 @@ def format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"non-finite value {x!r} has no JSON representation")
     return format(float(x), ".17g")
+
+
+def format_floats(values: Sequence[float]) -> Iterator[str]:
+    """format_float over a sequence of Python floats, raising as it does.
+
+    A finite sum means every value is finite; only a sum that is not
+    (a non-finite value, or an overflow) checks the values one by one.
+    """
+    if not math.isfinite(sum(values)):
+        for v in values:
+            format_float(v)
+    return map(format, values, repeat(".17g"))
 
 
 def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
@@ -55,6 +72,9 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")
+            return
+        if all(type(v) is float for v in obj):
+            out.append("[\n" + pad + (",\n" + pad).join(format_floats(obj)) + "\n" + closepad + "]")
             return
         out.append("[\n")
         for i, v in enumerate(obj):

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._serialize import dumps_json, format_float
+from ._serialize import dumps_json, format_float, format_floats
 from .banach_geometry import DEFAULT_ORTHO_TOL, DiscreteFunction, is_orthogonal, pair_geometry
 from .signal_decomposition import (
     Decomposition,
@@ -141,14 +141,6 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spectrum_comparison_rows(d: Decomposition) -> list[tuple[int, float, float]]:
-    shat = np.abs(np.fft.fft(d.source.samples))
-    stacked = np.zeros_like(shat)
-    for part in d.parts:
-        stacked += np.abs(np.fft.fft(part.samples))
-    return [(int(k), float(shat[k]), float(stacked[k])) for k in range(shat.size)]
-
-
 def _report_text(report: EnergyReport) -> str:
     lines = ["quantity,value"]
     lines.append(f"total_energy,{format_float(report.total_energy)}")
@@ -176,9 +168,9 @@ def _emit_decomposition_files(
         fh.write(_report_text(report))
     outputs.append("energy_report.txt")
     with open(os.path.join(out_dir, "spectrum_comparison.csv"), "w", encoding="utf-8") as fh:
-        fh.write("xi,signal_abs,components_abs_sum\n")
-        for k, sv, cv in _spectrum_comparison_rows(d):
-            fh.write(f"{k},{format_float(sv)},{format_float(cv)}\n")
+        shat, summed = report.signal_abs.tolist(), report.components_abs_sum.tolist()
+        rows = map("{},{},{}\n".format, range(len(shat)), format_floats(shat), format_floats(summed))
+        fh.write("xi,signal_abs,components_abs_sum\n" + "".join(rows))
     outputs.append("spectrum_comparison.csv")
     return outputs
 
@@ -230,15 +222,13 @@ def _write_spectrum_csv(path: str, eigenvalues: np.ndarray) -> None:
     lam = np.asarray(eigenvalues)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     if np.iscomplexobj(lam) and float(np.max(np.abs(lam.imag))) > 1e-12 * max(scale, 1.0):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("j,lambda_re,lambda_im\n")
-            for j, v in enumerate(lam):
-                fh.write(f"{j},{format_float(float(v.real))},{format_float(float(v.imag))}\n")
+        header = "j,lambda_re,lambda_im\n"
+        rows = map("{},{},{}\n".format, range(lam.size), format_floats(lam.real.tolist()), format_floats(lam.imag.tolist()))
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("j,lambda\n")
-            for j, v in enumerate(np.real(lam)):
-                fh.write(f"{j},{format_float(float(v))}\n")
+        header = "j,lambda\n"
+        rows = map("{},{}\n".format, range(lam.size), format_floats(np.real(lam).tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "".join(rows))
 
 
 def _cmd_precond_bench(args: argparse.Namespace) -> int:

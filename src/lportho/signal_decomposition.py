@@ -12,6 +12,7 @@ conservation hold by construction.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -41,8 +42,11 @@ __all__ = [
     "energy_report_to_dict",
 ]
 
+log = logging.getLogger("lportho")
+
 RECONSTRUCTION_RTOL = 1e-10
 OSCILLATION_RTOL = 1e-12
+_LOG_SQUARE_UNDERFLOW = -1075 * math.log(2)  # log of the largest square that rounds to 0
 
 
 class InconsistentDecomposition(ValueError):
@@ -186,7 +190,10 @@ class EnergyReport:
     """Energy bookkeeping of one decomposition.
 
     conservation_gap = sum(component_energies) - total_energy; the trend's
-    energy is included among component_energies (last entry).
+    energy is included among component_energies (last entry). signal_abs
+    is |s_hat(xi)| and components_abs_sum is sum_k |phi_k_hat(xi)| (trend
+    included) at every frequency xi: the spectra the energies and the
+    unwanted frequencies were computed from.
     """
 
     total_energy: float
@@ -195,6 +202,8 @@ class EnergyReport:
     conserved: bool
     tol: float
     unwanted_frequencies: tuple[tuple[int, float], ...]
+    signal_abs: np.ndarray = field(repr=False, compare=False)
+    components_abs_sum: np.ndarray = field(repr=False, compare=False)
 
 
 def _verify_reconstruction(d: Decomposition) -> None:
@@ -209,6 +218,29 @@ def _verify_reconstruction(d: Decomposition) -> None:
         )
 
 
+def _spectral_magnitudes(d: Decomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|s_hat|, |phi_k_hat| for each part (one row each), and their sum over the parts.
+
+    One batched FFT over the source and the parts. Each row equals the 1-d
+    FFT of its signal and the parts are summed in order, so every figure
+    derived from these is the one per-signal transforms give, bit for bit.
+    """
+    mags = np.abs(np.fft.fft(np.stack([d.source.samples] + [p.samples for p in d.parts])))
+    mags.setflags(write=False)
+    summed = np.zeros_like(mags[0])
+    for row in mags[1:]:
+        summed += row
+    summed.setflags(write=False)
+    return mags[0], mags[1:], summed
+
+
+def _unwanted(shat: np.ndarray, summed: np.ndarray) -> list[tuple[int, float]]:
+    allowance = OSCILLATION_RTOL * float(np.max(shat)) if shat.size else 0.0
+    excess = summed - shat
+    hits = np.nonzero(excess > allowance)[0]
+    return [(int(k), float(excess[k])) for k in hits]
+
+
 def detect_unwanted_oscillations(d: Decomposition) -> list[tuple[int, float]]:
     """Frequencies where summed component spectra exceed the signal spectrum.
 
@@ -216,14 +248,8 @@ def detect_unwanted_oscillations(d: Decomposition) -> list[tuple[int, float]]:
     sum_k |phi_k_hat(xi)| > |s_hat(xi)|, beyond a rounding allowance of
     1e-12 * max_k |s_hat(xi_k)|. The trend counts as a component.
     """
-    shat = np.abs(np.fft.fft(d.source.samples))
-    stacked = np.zeros_like(shat)
-    for part in d.parts:
-        stacked += np.abs(np.fft.fft(part.samples))
-    allowance = OSCILLATION_RTOL * float(np.max(shat)) if shat.size else 0.0
-    excess = stacked - shat
-    hits = np.nonzero(excess > allowance)[0]
-    return [(int(k), float(excess[k])) for k in hits]
+    shat, _, summed = _spectral_magnitudes(d)
+    return _unwanted(shat, summed)
 
 
 def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyReport:
@@ -231,13 +257,15 @@ def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyRep
 
     Raises InconsistentDecomposition when the parts do not sum back to the
     source; otherwise reports per-part energies, the conservation gap, the
-    conserved flag |gap| <= tol * E1(source), and any unwanted oscillations.
+    conserved flag |gap| <= tol * E1(source), any unwanted oscillations,
+    and the two spectra they come from. One batched FFT serves all of it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     _verify_reconstruction(d)
-    total = l1_fourier_energy(d.source)
-    part_energies = tuple(l1_fourier_energy(p) for p in d.parts)
+    shat, part_mags, summed = _spectral_magnitudes(d)
+    total = float(np.sum(shat))
+    part_energies = tuple(float(np.sum(row)) for row in part_mags)
     gap = float(sum(part_energies) - total)
     return EnergyReport(
         total_energy=total,
@@ -245,7 +273,9 @@ def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyRep
         conservation_gap=gap,
         conserved=abs(gap) <= tol * total if total > 0 else gap == 0.0,
         tol=float(tol),
-        unwanted_frequencies=tuple(detect_unwanted_oscillations(d)),
+        unwanted_frequencies=tuple(_unwanted(shat, summed)),
+        signal_abs=shat,
+        components_abs_sum=summed,
     )
 
 
@@ -264,6 +294,92 @@ def _moving_average_transfer(n: int, halfwidth: int) -> np.ndarray:
     return np.fft.fft(kernel).real
 
 
+def _relative_change(m: np.ndarray, m_prev: np.ndarray) -> float:
+    """The inner stopping ratio ||m - m_prev|| / ||m_prev||, 0 when m_prev is 0."""
+    change = float(np.linalg.norm(m - m_prev))
+    base = float(np.linalg.norm(m_prev))
+    return change / base if base > 0 else 0.0
+
+
+def _iterate_stage(
+    rhat: np.ndarray, damp: np.ndarray, delta: float, max_inner: int
+) -> tuple[np.ndarray, int, float]:
+    """Run a stage's inner passes one by one; return (iterate, passes, ratio)."""
+    m_prev = rhat
+    ach = math.inf
+    for it in range(1, max_inner + 1):
+        m = damp * m_prev
+        ach = _relative_change(m, m_prev)
+        m_prev = m
+        if ach <= delta:
+            return m_prev, it, ach
+    return m_prev, max_inner, ach
+
+
+def _stopping_pass(rhat: np.ndarray, tau: np.ndarray, damp: np.ndarray, delta: float, max_inner: int) -> int:
+    """The first pass N <= max_inner whose ratio is <= delta, else max_inner.
+
+    Pass N compares damp^N r against damp^(N-1) r, so its squared ratio is
+    sum(tau^2 g) / sum(g) with weights g = damp^(2N-2) |r|^2: a weighted
+    mean of tau^2 whose weights shift toward small tau as N grows, hence
+    nonincreasing in N, and N is found by bisection. The weights are
+    handled as logarithms shifted by their maximum, so none underflows
+    before the iterate itself would. Once every |m_(N-1)|^2 rounds to 0,
+    the pass's norm is 0 and its ratio 0, and so is this one.
+    """
+    with np.errstate(divide="ignore"):
+        log_w = 2.0 * np.log(np.abs(rhat))
+        log_d2 = 2.0 * np.log(damp)
+    tau2 = tau * tau
+
+    def stops(n: int) -> bool:
+        log_g = log_w if n == 1 else log_w + (n - 1) * log_d2
+        top = float(np.max(log_g))
+        if top < _LOG_SQUARE_UNDERFLOW:
+            return True
+        g = np.exp(log_g - top)
+        return float(tau2 @ g) <= delta * delta * float(np.sum(g))
+
+    if not stops(max_inner):
+        return max_inner
+    lo, hi = 1, max_inner  # stops(hi) holds; find the first n that stops
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if stops(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _bisected_stage(
+    rhat: np.ndarray, tau: np.ndarray, damp: np.ndarray, delta: float, max_inner: int
+) -> tuple[np.ndarray, int, float] | None:
+    """_iterate_stage's result from the bisected stopping pass N, or None.
+
+    The iterate is replayed with the passes' own ufunc, in place, so it is
+    bit for bit theirs. None when the norms of the passes overflow (their
+    ratios are then not the closed form's), or when the exact ratios at N
+    and N - 1 disagree with N.
+    """
+    if not math.isfinite(np.linalg.norm(rhat)):  # no later pass has a larger norm
+        return None
+    n_used = _stopping_pass(rhat, tau, damp, delta, max_inner)
+    m_prev = rhat.copy()
+    for _ in range(n_used - 2):
+        np.multiply(damp, m_prev, out=m_prev)
+    ach_before = math.inf
+    if n_used >= 2:
+        m = damp * m_prev
+        ach_before = _relative_change(m, m_prev)
+        m_prev = m
+    m = damp * m_prev
+    ach = _relative_change(m, m_prev)
+    if ach_before > delta and (ach <= delta or n_used == max_inner):
+        return m, n_used, ach
+    return None
+
+
 def fif_decompose(
     s: Signal,
     filter_halfwidths: Sequence[int],
@@ -275,11 +391,17 @@ def fif_decompose(
     Each stage builds a moving-average filter, squares its transfer (the
     double-convolution step, giving factors tau in [0, 1]), and repeatedly
     applies the high-pass complement to the running remainder: the inner
-    iterate after N passes is (1 - tau)^N * remainder_hat. N stops as soon
-    as the iterate's relative l2 change drops to delta, capped at max_inner;
-    a stage that hits the cap is recorded in meta, not an error. The
-    stabilized iterate is extracted as a component, the rest moves on, and
-    the final remainder is the trend.
+    iterate after N passes is (1 - tau)^N * remainder_hat. N is the first
+    pass whose relative l2 change ||m_N - m_(N-1)|| / ||m_(N-1)|| drops to
+    delta, capped at max_inner. Since the iterate is a closed form in N,
+    N is found by bisection on real weights, without iterating on the
+    spectrum; the iterate is then replayed in place, pass by pass, so it is
+    bit for bit the one the passes give, and the ratios at N and N - 1 are
+    checked exactly (a stage whose checks disagree, or whose norms
+    overflow, runs its passes one by one). A stage that hits the cap is
+    recorded in meta and logged as a warning on the "lportho" logger, not
+    raised. The stabilized iterate is extracted as a component, the rest
+    moves on, and the final remainder is the trend.
 
     Because every stage scales each frequency by a factor in [0, 1] and the
     factors telescope to a partition of unity, the output conserves the L1
@@ -310,25 +432,18 @@ def fif_decompose(
     for hw in hws:
         tau = np.clip(_moving_average_transfer(s.n, hw) ** 2, 0.0, 1.0)
         damp = 1.0 - tau
-        m_prev = rhat
-        hit = False
-        n_used = max_inner
-        ach = math.inf
-        for it in range(1, max_inner + 1):
-            m = damp * m_prev
-            change = float(np.linalg.norm(m - m_prev))
-            base = float(np.linalg.norm(m_prev))
-            ach = change / base if base > 0 else 0.0
-            m_prev = m
-            if ach <= delta:
-                n_used, hit = it, True
-                break
-        phihat = m_prev
+        stage = _bisected_stage(rhat, tau, damp, delta, max_inner)
+        phihat, n_used, ach = stage or _iterate_stage(rhat, damp, delta, max_inner)
+        if ach > delta:
+            log.warning(
+                "fif_decompose: stage with halfwidth %d stopped at max_inner = %d with relative change %.3g > delta = %.3g",
+                hw, max_inner, ach, delta,
+            )
         rhat = rhat - phihat
         components.append(Signal(np.fft.ifft(phihat).real))
         inner_counts.append(n_used)
         achieved.append(ach)
-        converged.append(hit)
+        converged.append(ach <= delta)
 
     trend = Signal(np.fft.ifft(rhat).real)
     meta = {
@@ -408,18 +523,16 @@ def read_signal_csv(path: str) -> Signal:
 
 
 def write_signal_csv(path: str, s: Signal) -> None:
-    from ._serialize import format_float
+    from ._serialize import format_float, format_floats
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# B={format_float(s.bandwidth)}\n")
-        for v in s.samples:
-            fh.write(format_float(float(v)) + "\n")
+        fh.write(f"# B={format_float(s.bandwidth)}\n" + "\n".join(format_floats(s.samples.tolist())) + "\n")
 
 
 def decomposition_to_dict(d: Decomposition) -> dict:
     return {
-        "components": [list(map(float, c.samples)) for c in d.components],
-        "trend": list(map(float, d.trend.samples)),
+        "components": [c.samples.tolist() for c in d.components],
+        "trend": d.trend.samples.tolist(),
         "meta": d.meta,
     }
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lportho.cli import main
+from lportho._serialize import format_float
+from lportho.cli import _write_spectrum_csv, main
 from lportho.signal_decomposition import Signal, l1_fourier_energy, write_signal_csv
 
 
@@ -110,6 +111,18 @@ class TestDecompose:
             "energy_report.txt",
             "spectrum_comparison.csv",
         }
+
+    def test_spectrum_comparison_rows(self, tmp_path, capsys, signal_file):
+        path, s = signal_file
+        out_dir = tmp_path / "dec"
+        run_cli(capsys, ["decompose", path, "--halfwidths", "3,9", "--out-dir", str(out_dir)])
+        doc = json.loads((out_dir / "decomposition.json").read_text())
+        shat = np.abs(np.fft.fft(s.samples))
+        summed = np.zeros(s.n)
+        for part in doc["components"] + [doc["trend"]]:
+            summed += np.abs(np.fft.fft(part))
+        rows = [f"{k},{format_float(a)},{format_float(b)}" for k, (a, b) in enumerate(zip(shat, summed))]
+        assert (out_dir / "spectrum_comparison.csv").read_text().splitlines()[1:] == rows
 
     def test_deterministic_outputs(self, tmp_path, capsys, signal_file):
         path, _ = signal_file
@@ -273,6 +286,16 @@ class TestPrecondBench:
 
 
 class TestSpectrum:
+    def test_spectrum_csv_rows(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lam = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        _write_spectrum_csv(str(tmp_path / "c.csv"), lam)
+        rows = [f"{j},{format_float(v.real)},{format_float(v.imag)}" for j, v in enumerate(lam)]
+        assert (tmp_path / "c.csv").read_text() == "j,lambda_re,lambda_im\n" + "".join(r + "\n" for r in rows)
+        _write_spectrum_csv(str(tmp_path / "r.csv"), lam.real + 1e-15j)
+        rows = [f"{j},{format_float(v)}" for j, v in enumerate(lam.real)]
+        assert (tmp_path / "r.csv").read_text() == "j,lambda\n" + "".join(r + "\n" for r in rows)
+
     def test_diagnostic_summary(self, tmp_path, capsys):
         out_dir = tmp_path / "spec"
         code, out, _ = run_cli(

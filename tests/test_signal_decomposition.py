@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -26,6 +27,53 @@ from lportho.signal_decomposition import (
 
 def random_signal(rng, n):
     return Signal(rng.standard_normal(n))
+
+
+def fif_by_passes(s, halfwidths, delta=1e-3, max_inner=200):
+    """fif_decompose with every inner pass run one by one: the oracle for its
+    bisected stopping index. Returns (components, trend, meta)."""
+    n = s.n
+    rhat = np.fft.fft(s.samples)
+    components, counts, achieved, converged = [], [], [], []
+    for hw in halfwidths:
+        kernel = np.zeros(n)
+        kernel[: hw + 1] = 1.0 / (2 * hw + 1)
+        kernel[n - hw:] = 1.0 / (2 * hw + 1)
+        tau = np.clip(np.fft.fft(kernel).real ** 2, 0.0, 1.0)
+        damp = 1.0 - tau
+        m_prev, used, ach, hit = rhat, max_inner, math.inf, False
+        for it in range(1, max_inner + 1):
+            m = damp * m_prev
+            change = float(np.linalg.norm(m - m_prev))
+            base = float(np.linalg.norm(m_prev))
+            ach = change / base if base > 0 else 0.0
+            m_prev = m
+            if ach <= delta:
+                used, hit = it, True
+                break
+        rhat = rhat - m_prev
+        components.append(np.fft.ifft(m_prev).real)
+        counts.append(used)
+        achieved.append(ach)
+        converged.append(hit)
+    meta = {
+        "halfwidths": list(halfwidths),
+        "delta": float(delta),
+        "max_inner": int(max_inner),
+        "inner_iterations": counts,
+        "achieved_delta": achieved,
+        "converged": converged,
+    }
+    return components, np.fft.ifft(rhat).real, meta
+
+
+FIF_SIGNALS = {
+    "noise": lambda n: np.random.default_rng(n).standard_normal(n),
+    "chirp": lambda n: chirp_plus_tone(n).samples + 0.1 * np.random.default_rng(n).standard_normal(n),
+    "zero": np.zeros,
+    "constant": lambda n: np.full(n, 3.0),
+    "tiny": lambda n: 1e-170 * np.random.default_rng(n).standard_normal(n),
+}
 
 
 def random_schedule(rng, n):
@@ -154,6 +202,25 @@ class TestEnergyConservation:
         assert report.total_energy == 0.0
         assert report.conserved
 
+    @pytest.mark.parametrize("n", [64, 4096, 4098, 15838, 2**16])
+    def test_one_batched_pass_matches_per_signal_transforms(self, n):
+        rng = np.random.default_rng(n)
+        d = Decomposition.from_parts([rng.standard_normal(n) for _ in range(3)], rng.standard_normal(n))
+        report = check_energy_conservation(d)
+        shat = np.abs(np.fft.fft(d.source.samples))
+        summed = np.zeros(n)
+        for part in d.parts:
+            summed += np.abs(np.fft.fft(part.samples))
+        assert report.total_energy == l1_fourier_energy(d.source)
+        assert report.component_energies == tuple(l1_fourier_energy(p) for p in d.parts)
+        assert np.array_equal(report.signal_abs, shat)
+        assert np.array_equal(report.components_abs_sum, summed)
+        excess = summed - shat
+        hits = np.nonzero(excess > 1e-12 * shat.max())[0]
+        expected = tuple((int(k), float(excess[k])) for k in hits)
+        assert expected and report.unwanted_frequencies == expected
+        assert tuple(detect_unwanted_oscillations(d)) == expected
+
 
 class TestUnwantedOscillations:
     def test_cancelling_pair_flags_shared_bin(self):
@@ -262,6 +329,77 @@ class TestFifDecompose:
         for d in (d1, d2):
             assert check_energy_conservation(d).conserved
 
+    @pytest.mark.parametrize("kind", sorted(FIF_SIGNALS))
+    @pytest.mark.parametrize("n", [4, 4096, 2**16])
+    def test_matches_pass_by_pass_oracle(self, n, kind):
+        # n = 4 is the smallest length with a valid halfwidth (h < n/2)
+        s = Signal(FIF_SIGNALS[kind](n))
+        halfwidths = [1] if n == 4 else [2, 8, 32]
+        if n == 2**16:
+            # every pass at this length costs the oracle; each value once
+            grid = [(1e-3, 200), (1e-2, 2), (0.1, 200), (1e-12, 1)]
+        else:
+            grid = [(delta, cap) for delta in (1e-3, 1e-2, 0.1, 1e-12) for cap in (1, 2, 200)]
+        for delta, cap in grid:
+            comps, trend, meta = fif_by_passes(s, halfwidths, delta, cap)
+            d = fif_decompose(s, halfwidths, delta, cap)
+            assert d.meta == meta, (delta, cap)
+            for got, want in zip(d.components, comps):
+                assert np.array_equal(got.samples, want), (delta, cap)
+            assert np.array_equal(d.trend.samples, trend), (delta, cap)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 13, 29])
+    def test_delta_at_a_pass_ratio_matches_oracle(self, k):
+        # delta equal to (or one ulp from) the ratio of pass k puts the
+        # stopping test within rounding of the bisection's own estimate
+        s = Signal(np.random.default_rng(k).standard_normal(512))
+        ratio = fif_by_passes(s, [3], 1e-300, k)[2]["achieved_delta"][0]
+        for delta in (ratio, np.nextafter(ratio, 0.0), np.nextafter(ratio, 1.0)):
+            comps, _, meta = fif_by_passes(s, [3], float(delta), 200)
+            d = fif_decompose(s, [3], float(delta), 200)
+            assert d.meta == meta
+            assert np.array_equal(d.components[0].samples, comps[0])
+
+    def test_length_two_admits_no_stage(self):
+        with pytest.raises(ValueError):
+            fif_decompose(Signal([1.0, -1.0]), [1])
+
+    @pytest.mark.parametrize("amplitude", [1e152, 1e300])
+    @pytest.mark.parametrize("delta", [1e-3, 0.1])
+    def test_overflowing_norms_match_oracle(self, amplitude, delta):
+        # the squared l2 norms of the first passes overflow, so their ratio
+        # is 0 or nan, which the bisection cannot model
+        s = Signal(amplitude * np.random.default_rng(3).standard_normal(256))
+        with np.errstate(over="ignore", invalid="ignore"):
+            comps, trend, meta = fif_by_passes(s, [2, 9], delta, 200)
+            d = fif_decompose(s, [2, 9], delta, 200)
+        assert d.meta.keys() == meta.keys()
+        for key in meta:
+            np.testing.assert_array_equal(d.meta[key], meta[key])
+        for got, want in zip(d.components, comps):
+            assert np.array_equal(got.samples, want)
+        assert np.array_equal(d.trend.samples, trend)
+
+    def test_stage_at_cap_logs_one_warning(self, caplog):
+        n = 100
+        t = np.arange(n) / n
+        s = Signal(np.cos(2 * math.pi * 10 * t))
+        with caplog.at_level(logging.WARNING, logger="lportho"):
+            d = fif_decompose(s, [1, 3], delta=1e-8, max_inner=3)
+        assert d.meta["converged"] == [False, False]
+        warned = [r for r in caplog.records if r.name == "lportho" and r.levelno == logging.WARNING]
+        assert len(warned) == 2
+        for record, hw, ach in zip(warned, [1, 3], d.meta["achieved_delta"]):
+            message = record.getMessage()
+            assert f"halfwidth {hw} " in message
+            assert f"{ach:.3g}" in message
+
+    def test_converged_stage_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="lportho"):
+            d = fif_decompose(Signal(np.zeros(16)), [2, 5])
+        assert d.meta["converged"] == [True, True]
+        assert not caplog.records
+
 
 class TestPairwiseAngles:
     def test_frequency_domain_angles_are_right(self):
@@ -312,6 +450,7 @@ class TestSerialization:
         s = random_signal(rng, 50)
         path = tmp_path / "sig.csv"
         write_signal_csv(path, s)
+        assert path.read_text() == "# B=25\n" + "".join(format(float(v), ".17g") + "\n" for v in s.samples)
         back = read_signal_csv(path)
         np.testing.assert_array_equal(back.samples, s.samples)
         assert back.bandwidth == s.bandwidth
