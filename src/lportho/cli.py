@@ -5,7 +5,8 @@ Subcommands:
     ortho          orthogonality test for two vectors
     energy         L1 Fourier energy of a signal
     decompose      spectral iterative-filtering split of a signal
-    audit          re-check an externally supplied decomposition JSON
+    audit          re-check an externally supplied decomposition JSON; with
+                   --out-dir it writes back the file it read, byte for byte
     precond-bench  iteration-count tables over an (n, p) grid
     spectrum       circulant and preconditioned spectra for one (n, p)
 
@@ -28,10 +29,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._serialize import dumps_json, format_float, format_floats
+from ._serialize import dumps_json, format_float, format_rows, read_numbers
 from .banach_geometry import DEFAULT_ORTHO_TOL, DiscreteFunction, is_orthogonal, pair_geometry
 from .signal_decomposition import (
-    Decomposition,
     EnergyReport,
     check_energy_conservation,
     decomposition_from_dict,
@@ -65,20 +65,6 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _read_vector_csv(path: str) -> np.ndarray:
-    """One value per line; blank lines and '#' comments skipped."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            values.append(float(line))
-    if not values:
-        raise ValueError(f"no samples found in {path}")
-    return np.asarray(values)
-
-
 def _write_manifest(
     out_dir: str,
     command: str,
@@ -106,8 +92,8 @@ def _print_json(doc: dict) -> None:
 
 
 def _cmd_angle(args: argparse.Namespace) -> int:
-    f = DiscreteFunction(_read_vector_csv(args.file_f))
-    g = DiscreteFunction(_read_vector_csv(args.file_g))
+    f = DiscreteFunction(read_numbers(args.file_f)[0])
+    g = DiscreteFunction(read_numbers(args.file_g)[0])
     result = pair_geometry(f, g, args.p)
     _print_json(
         {
@@ -121,8 +107,8 @@ def _cmd_angle(args: argparse.Namespace) -> int:
 
 
 def _cmd_ortho(args: argparse.Namespace) -> int:
-    f = DiscreteFunction(_read_vector_csv(args.file_f))
-    g = DiscreteFunction(_read_vector_csv(args.file_g))
+    f = DiscreteFunction(read_numbers(args.file_f)[0])
+    g = DiscreteFunction(read_numbers(args.file_g)[0])
     result = pair_geometry(f, g, args.p)
     _print_json(
         {
@@ -153,14 +139,9 @@ def _report_text(report: EnergyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_decomposition_files(
-    out_dir: str, d: Decomposition, report: EnergyReport
-) -> list[str]:
+def _emit_report_files(out_dir: str, report: EnergyReport) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
-    with open(os.path.join(out_dir, "decomposition.json"), "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(decomposition_to_dict(d)))
-    outputs.append("decomposition.json")
     with open(os.path.join(out_dir, "energy_report.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps_json(energy_report_to_dict(report)))
     outputs.append("energy_report.json")
@@ -169,8 +150,7 @@ def _emit_decomposition_files(
     outputs.append("energy_report.txt")
     with open(os.path.join(out_dir, "spectrum_comparison.csv"), "w", encoding="utf-8") as fh:
         shat, summed = report.signal_abs.tolist(), report.components_abs_sum.tolist()
-        rows = map("{},{},{}\n".format, range(len(shat)), format_floats(shat), format_floats(summed))
-        fh.write("xi,signal_abs,components_abs_sum\n" + "".join(rows))
+        fh.write("xi,signal_abs,components_abs_sum\n" + format_rows("%d,%.17g,%.17g\n", range(len(shat)), shat, summed))
     outputs.append("spectrum_comparison.csv")
     return outputs
 
@@ -180,7 +160,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     halfwidths = [int(h) for h in args.halfwidths.split(",") if h.strip()]
     d = fif_decompose(s, halfwidths, args.delta, args.max_inner)
     report = check_energy_conservation(d, args.tol)
-    outputs = _emit_decomposition_files(args.out_dir, d, report)
+    outputs = ["decomposition.json"] + _emit_report_files(args.out_dir, report)
+    with open(os.path.join(args.out_dir, "decomposition.json"), "w", encoding="utf-8") as fh:
+        fh.write(dumps_json(decomposition_to_dict(d)))
     _write_manifest(
         args.out_dir,
         "decompose",
@@ -200,12 +182,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    with open(args.decomposition, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    d = decomposition_from_dict(doc)
+    with open(args.decomposition, "rb") as fh:
+        data = fh.read()
+    d = decomposition_from_dict(json.loads(data.decode("utf-8")))
     report = check_energy_conservation(d, args.tol)
     if args.out_dir:
-        outputs = _emit_decomposition_files(args.out_dir, d, report)
+        outputs = ["decomposition.json"] + _emit_report_files(args.out_dir, report)
+        target = os.path.join(args.out_dir, "decomposition.json")
+        if not (os.path.exists(target) and os.path.samefile(target, args.decomposition)):
+            with open(target, "wb") as fh:  # the bytes read, not a re-serialization
+                fh.write(data)
         _write_manifest(
             args.out_dir,
             "audit",
@@ -221,14 +207,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _write_spectrum_csv(path: str, eigenvalues: np.ndarray) -> None:
     lam = np.asarray(eigenvalues)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
+    index = range(lam.size)
     if np.iscomplexobj(lam) and float(np.max(np.abs(lam.imag))) > 1e-12 * max(scale, 1.0):
-        header = "j,lambda_re,lambda_im\n"
-        rows = map("{},{},{}\n".format, range(lam.size), format_floats(lam.real.tolist()), format_floats(lam.imag.tolist()))
+        text = "j,lambda_re,lambda_im\n" + format_rows("%d,%.17g,%.17g\n", index, lam.real.tolist(), lam.imag.tolist())
     else:
-        header = "j,lambda\n"
-        rows = map("{},{}\n".format, range(lam.size), format_floats(np.real(lam).tolist()))
+        text = "j,lambda\n" + format_rows("%d,%.17g\n", index, np.real(lam).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "".join(rows))
+        fh.write(text)
 
 
 def _cmd_precond_bench(args: argparse.Namespace) -> int:

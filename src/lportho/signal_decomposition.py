@@ -19,6 +19,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from ._serialize import format_float, format_rows, read_numbers
 from .banach_geometry import DiscreteFunction, angle
 
 __all__ = [
@@ -506,27 +507,17 @@ def chirp_plus_tone(
 
 def read_signal_csv(path: str) -> Signal:
     """Load a signal from CSV: one sample per line, optional '# B=<value>'."""
+    samples, comments = read_numbers(path)
     bandwidth = 0.0
-    samples: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.upper().startswith("B="):
-                    bandwidth = float(body[2:])
-                continue
-            samples.append(float(line))
-    return Signal(np.asarray(samples), bandwidth)
+    for body in comments:
+        if body.upper().startswith("B="):
+            bandwidth = float(body[2:])
+    return Signal(samples, bandwidth)
 
 
 def write_signal_csv(path: str, s: Signal) -> None:
-    from ._serialize import format_float, format_floats
-
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# B={format_float(s.bandwidth)}\n" + "\n".join(format_floats(s.samples.tolist())) + "\n")
+        fh.write(f"# B={format_float(s.bandwidth)}\n" + format_rows("%.17g\n", s.samples.tolist()))
 
 
 def decomposition_to_dict(d: Decomposition) -> dict:

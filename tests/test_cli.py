@@ -121,8 +121,9 @@ class TestDecompose:
         summed = np.zeros(s.n)
         for part in doc["components"] + [doc["trend"]]:
             summed += np.abs(np.fft.fft(part))
-        rows = [f"{k},{format_float(a)},{format_float(b)}" for k, (a, b) in enumerate(zip(shat, summed))]
-        assert (out_dir / "spectrum_comparison.csv").read_text().splitlines()[1:] == rows
+        rows = [f"{k},{format_float(a)},{format_float(b)}\n" for k, (a, b) in enumerate(zip(shat, summed))]
+        expected = "xi,signal_abs,components_abs_sum\n" + "".join(rows)
+        assert (out_dir / "spectrum_comparison.csv").read_bytes() == expected.encode("utf-8")
 
     def test_deterministic_outputs(self, tmp_path, capsys, signal_file):
         path, _ = signal_file
@@ -159,6 +160,34 @@ class TestAudit:
         assert audit_report["component_energies"] == pytest.approx(
             dec_report["component_energies"], rel=1e-12
         )
+
+    def test_out_dir_writes_back_the_decompose_bytes(self, tmp_path, capsys, signal_file):
+        path, _ = signal_file
+        dec, aud = tmp_path / "dec", tmp_path / "aud"
+        run_cli(capsys, ["decompose", path, "--halfwidths", "3,9", "--out-dir", str(dec)])
+        code, _, _ = run_cli(capsys, ["audit", str(dec / "decomposition.json"), "--out-dir", str(aud)])
+        assert code == 0
+        assert (aud / "decomposition.json").read_bytes() == (dec / "decomposition.json").read_bytes()
+        manifest = json.loads((aud / "manifest.json").read_text())
+        assert manifest["outputs"] == json.loads((dec / "manifest.json").read_text())["outputs"]
+
+    def test_foreign_json_is_written_back_verbatim(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        doc = {"trend": [1, 2, 3, 4], "components": [rng.standard_normal(4).tolist()], "meta": {"by": "x"}}
+        source = tmp_path / "foreign.json"
+        source.write_bytes(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
+        code, _, _ = run_cli(capsys, ["audit", str(source), "--out-dir", str(tmp_path / "aud")])
+        assert code == 0
+        assert (tmp_path / "aud" / "decomposition.json").read_bytes() == source.read_bytes()
+
+    def test_audit_into_the_input_directory_leaves_the_input(self, tmp_path, capsys):
+        source = tmp_path / "decomposition.json"
+        original = b'{"components": [[1.0, -1.0, 0.5, 2]], "trend": [0, 0, 1, 1]}'
+        source.write_bytes(original)
+        code, out, _ = run_cli(capsys, ["audit", str(source), "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert source.read_bytes() == original
+        assert json.loads((tmp_path / "energy_report.json").read_text()) == json.loads(out)
 
     def test_flags_energy_leak(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -288,12 +317,14 @@ class TestPrecondBench:
 class TestSpectrum:
     def test_spectrum_csv_rows(self, tmp_path):
         rng = np.random.default_rng(5)
-        lam = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16, 1e17, 1.7976931348623157e308, 3.0]
+        lam = np.concatenate([rng.standard_normal(9), edges]) + 1j * np.concatenate([edges, rng.standard_normal(9)])
         _write_spectrum_csv(str(tmp_path / "c.csv"), lam)
         rows = [f"{j},{format_float(v.real)},{format_float(v.imag)}" for j, v in enumerate(lam)]
         assert (tmp_path / "c.csv").read_text() == "j,lambda_re,lambda_im\n" + "".join(r + "\n" for r in rows)
-        _write_spectrum_csv(str(tmp_path / "r.csv"), lam.real + 1e-15j)
-        rows = [f"{j},{format_float(v)}" for j, v in enumerate(lam.real)]
+        lam = lam.real
+        _write_spectrum_csv(str(tmp_path / "r.csv"), lam + 1e-15j)
+        rows = [f"{j},{format_float(v)}" for j, v in enumerate(lam)]
         assert (tmp_path / "r.csv").read_text() == "j,lambda\n" + "".join(r + "\n" for r in rows)
 
     def test_diagnostic_summary(self, tmp_path, capsys):

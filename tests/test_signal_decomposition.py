@@ -447,10 +447,11 @@ class TestChirpPlusTone:
 class TestSerialization:
     def test_signal_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
-        s = random_signal(rng, 50)
+        edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16, 1e17, 1.7976931348623157e308, 3.0, -7.0]
+        s = Signal(np.concatenate([random_signal(rng, 40).samples, edges]))
         path = tmp_path / "sig.csv"
         write_signal_csv(path, s)
-        assert path.read_text() == "# B=25\n" + "".join(format(float(v), ".17g") + "\n" for v in s.samples)
+        assert path.read_bytes() == ("# B=25\n" + "".join(format(float(v), ".17g") + "\n" for v in s.samples)).encode()
         back = read_signal_csv(path)
         np.testing.assert_array_equal(back.samples, s.samples)
         assert back.bandwidth == s.bandwidth
