@@ -13,6 +13,7 @@ positive.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -143,25 +144,65 @@ def dualize(f: FunctionLike, p: ExponentLike) -> DiscreteFunction:
     sum(w * f * conj(f*)) = ||f||_p^p.
     """
     fn = _as_function(f)
-    pe = _as_exponent(p)
-    v = fn.values
+    return DiscreteFunction(_dual(fn.values, _as_exponent(p).p), fn.weight)
+
+
+# The pairing works on raw sample arrays: the public functions validate
+# their operands once (_operands) and build no DiscreteFunction inside.
+
+
+def _dual(v: np.ndarray, p: float) -> np.ndarray:
+    """The duality map of dualize on raw samples, checked finite."""
     mag = np.abs(v)
-    if fn.is_complex:
+    if np.iscomplexobj(v):
         with np.errstate(divide="ignore", invalid="ignore"):
             phase = np.where(mag > 0, v / np.where(mag > 0, mag, 1.0), 0.0)
-        dual = phase * mag ** (pe.p - 1.0)
+        dual = phase * mag ** (p - 1.0)
     else:
-        dual = np.sign(v) * mag ** (pe.p - 1.0)
-    return DiscreteFunction(dual, fn.weight)
+        dual = np.sign(v) * mag ** (p - 1.0)
+    return _finite(dual)
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    """v itself; ValueError, as DiscreteFunction raises, when it holds NaN or Inf.
+
+    A finite sum proves every entry finite; only a sum that is not (an
+    overflow, or a NaN or Inf inside) needs the entrywise test.
+    """
+    if not cmath.isfinite(v.sum()) and not np.isfinite(v).all():
+        raise ValueError("values must be finite (no NaN or Inf)")
+    return v
+
+
+def _operands(
+    f: FunctionLike, g: FunctionLike, p: ExponentLike
+) -> tuple[DiscreteFunction, DiscreteFunction, float, np.ndarray]:
+    """f and g validated and on one grid, the exponent, and the samples of f+g.
+
+    Raises DimensionMismatch for different grids and ValueError when f+g
+    overflows to a non-finite value.
+    """
+    fn, gn = _as_function(f), _as_function(g)
+    _check_compatible(fn, gn)
+    return fn, gn, _as_exponent(p).p, _finite(fn.values + gn.values)
 
 
 def _pair(u: np.ndarray, v: np.ndarray, weight: float) -> float:
     """Weighted pairing sum(w * u * conj(v)), real part."""
-    return float(weight * np.sum((u * np.conj(v)).real))
+    return float(weight * (u * (v.conj() if np.iscomplexobj(v) else v)).real.sum())
 
 
-def _norm_power(f: DiscreteFunction, pe: PExponent) -> float:
-    return float(f.weight * np.sum(np.abs(f.values) ** pe.p))
+def _norm_power(v: np.ndarray, weight: float, p: float) -> float:
+    return float(weight * (np.abs(v) ** p).sum())
+
+
+def _weak_inner_product(f: np.ndarray, g: np.ndarray, s: np.ndarray, weight: float, p: float) -> float:
+    h = _dual(s, p)
+    return 0.5 * (_pair(f, h - _dual(f, p), weight) + _pair(g, h - _dual(g, p), weight))
+
+
+def _defect(f: np.ndarray, g: np.ndarray, s: np.ndarray, weight: float, p: float) -> float:
+    return _norm_power(s, weight, p) - _norm_power(f, weight, p) - _norm_power(g, weight, p)
 
 
 def weak_inner_product(f: FunctionLike, g: FunctionLike, p: ExponentLike) -> float:
@@ -172,14 +213,8 @@ def weak_inner_product(f: FunctionLike, g: FunctionLike, p: ExponentLike) -> flo
     At p = 2 this is the classical inner product; at p = 1 it equals
     (||f+g||_1 - ||f||_1 - ||g||_1) / 2.
     """
-    fn, gn = _as_function(f), _as_function(g)
-    _check_compatible(fn, gn)
-    pe = _as_exponent(p)
-    h = dualize(DiscreteFunction(fn.values + gn.values, fn.weight), pe).values
-    fstar = dualize(fn, pe).values
-    gstar = dualize(gn, pe).values
-    total = _pair(fn.values, h - fstar, fn.weight) + _pair(gn.values, h - gstar, gn.weight)
-    return 0.5 * total
+    fn, gn, pv, s = _operands(f, g, p)
+    return _weak_inner_product(fn.values, gn.values, s, fn.weight, pv)
 
 
 def pythagorean_defect(f: FunctionLike, g: FunctionLike, p: ExponentLike) -> float:
@@ -190,11 +225,8 @@ def pythagorean_defect(f: FunctionLike, g: FunctionLike, p: ExponentLike) -> flo
     duality map. Zero exactly when f and g are orthogonal in the weak sense;
     for p = 1 it is never positive.
     """
-    fn, gn = _as_function(f), _as_function(g)
-    _check_compatible(fn, gn)
-    pe = _as_exponent(p)
-    s = DiscreteFunction(fn.values + gn.values, fn.weight)
-    return _norm_power(s, pe) - _norm_power(fn, pe) - _norm_power(gn, pe)
+    fn, gn, pv, s = _operands(f, g, p)
+    return _defect(fn.values, gn.values, s, fn.weight, pv)
 
 
 def angle(f: FunctionLike, g: FunctionLike, p: ExponentLike) -> float:
@@ -220,21 +252,17 @@ def is_orthogonal(
     """
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValueError("tol must be positive")
-    fn, gn = _as_function(f), _as_function(g)
-    _check_compatible(fn, gn)
-    pe = _as_exponent(p)
-    wip = weak_inner_product(fn, gn, pe)
-    scale = max(1.0, _norm_power(fn, pe), _norm_power(gn, pe))
+    fn, gn, pv, s = _operands(f, g, p)
+    wip = _weak_inner_product(fn.values, gn.values, s, fn.weight, pv)
+    scale = max(1.0, _norm_power(fn.values, fn.weight, pv), _norm_power(gn.values, gn.weight, pv))
     return abs(wip) <= tol * scale
 
 
 def pair_geometry(f: FunctionLike, g: FunctionLike, p: ExponentLike) -> GeometryResult:
     """Weak inner product, defect, and angle of one pair in a single record."""
-    fn, gn = _as_function(f), _as_function(g)
-    _check_compatible(fn, gn)
-    pe = _as_exponent(p)
-    wip = weak_inner_product(fn, gn, pe)
-    defect = pythagorean_defect(fn, gn, pe)
+    fn, gn, pv, s = _operands(f, g, p)
+    wip = _weak_inner_product(fn.values, gn.values, s, fn.weight, pv)
+    defect = _defect(fn.values, gn.values, s, fn.weight, pv)
     return GeometryResult(
         weak_inner_product=wip,
         cot_angle=defect,

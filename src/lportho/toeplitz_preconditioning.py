@@ -5,12 +5,16 @@ is approximated by the circulant that minimizes the entrywise p-norm of the
 difference. The minimizer has a per-diagonal closed form (a weighted power
 mean of the two Toeplitz offsets each circulant diagonal touches), so
 constructing it costs O(n). Matrix-vector products are an O(n x stored
-diagonals) stencil. A circulant keeps one spectrum, its eigenvalues; a real
-one is inverted with real FFTs only, by half-spectrum division when n is
-7-smooth and otherwise by a folded power-of-two convolution, so no apply
-takes the slow (Bluestein) FFT of a prime length. The solver is a standard
-preconditioned conjugate gradient with explicit failure reporting for
-singular or indefinite preconditioners.
+diagonals) stencil. A circulant keeps one spectrum, its eigenvalues. When
+n is 7-smooth (no prime factor above 7) a real circulant is inverted by
+half-spectrum division with real FFTs. At any other n a banded column (a
+minimizer of a banded operator) takes no slow (Bluestein) FFT of length n:
+its spectrum is the cosine sum, in O(n w), and when SPD it is inverted by
+a banded Cholesky factorization with a low-rank correction for the
+wrapped corners. Other real columns are applied by a folded power-of-two
+convolution. The solver is a standard preconditioned conjugate gradient
+with explicit failure reporting for singular or indefinite
+preconditioners.
 
 The quartic model family f(theta) = alpha + beta(2-2cos) + gamma(2-2cos)^2
 gets dedicated support: pentadiagonal coefficients, a closed-form spectrum
@@ -177,8 +181,12 @@ class CirculantMatrix:
     Eigenvalues follow the convention lambda = sqrt(n) F* c (the unnormalized
     inverse DFT of the first column); a symmetric real first column gives a
     real spectrum. It is the only spectrum kept: solves take their Fourier
-    multipliers from it. p records the exponent used to build the matrix
-    when it came from a minimization, None otherwise.
+    multipliers from it. At a 7-smooth n it is n * ifft(c). At any other n a
+    banded column (see _band_halfwidth) evaluates the cosine sum
+    lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n) in O(n w) instead of
+    an FFT of length n; the two agree to a few ulps of max |lambda|. p
+    records the exponent used to build the matrix when it came from a
+    minimization, None otherwise.
     """
 
     n: int
@@ -203,9 +211,13 @@ class CirculantMatrix:
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._eig is None:
-            lam = self.n * np.fft.ifft(self.first_column)
-            if not np.iscomplexobj(self.first_column) and self.has_symmetric_column:
-                lam = lam.real
+            w = _band_halfwidth(self.first_column)
+            if w is not None:
+                lam = _banded_spectrum(self.first_column, w)
+            else:
+                lam = self.n * np.fft.ifft(self.first_column)
+                if not np.iscomplexobj(self.first_column) and self.has_symmetric_column:
+                    lam = lam.real
             object.__setattr__(self, "_eig", lam)
         return self._eig
 
@@ -271,7 +283,11 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
 
 
 def circulant_spectrum(C: CirculantMatrix) -> np.ndarray:
-    """Eigenvalues of a circulant via the DFT of its first column."""
+    """Eigenvalues of a circulant: the DFT of its first column.
+
+    A copy of C.eigenvalues, so a banded column at an n that is not
+    7-smooth gets the O(n w) cosine sum rather than an FFT of length n.
+    """
     return np.array(C.eigenvalues, copy=True)
 
 
@@ -361,22 +377,142 @@ def _is_7_smooth(n: int) -> bool:
     return n == 1
 
 
-def _real_inverse(C: CirculantMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """The map r -> C^(-1) r for a real first column and real r.
+# Widest band the banded path takes. Its set-up solves for 2w right-hand
+# sides and its apply carries a rank-2w correction, while an FFT's cost
+# does not grow with the band; the model family has w = 2.
+MAX_BAND_HALFWIDTH = 8
+
+
+def _band_halfwidth(col: np.ndarray) -> Optional[int]:
+    """w when the banded paths apply to a circulant's first column, else None.
+
+    They apply when n is not 7-smooth and the column is real, symmetric
+    (c_k = c_(n-k)) and zero outside offsets -w..w, with
+    w <= MAX_BAND_HALFWIDTH and 4w < n. Every other column keeps the FFTs.
+    """
+    n = col.size
+    if np.iscomplexobj(col) or _is_7_smooth(n):
+        return None
+    nonzero = np.flatnonzero(col[1 : MAX_BAND_HALFWIDTH + 1])
+    w = int(nonzero[-1]) + 1 if nonzero.size else 0
+    if 4 * w >= n or np.any(col[w + 1 : n - w]) or not np.array_equal(col[1 : w + 1], col[: n - w - 1 : -1]):
+        return None
+    return w
+
+
+def _cos_table(n: int) -> np.ndarray:
+    """cos(2 pi m / n) for m = 0..n//2, each within about an ulp.
+
+    Every argument is folded into [-pi/4, pi/4] by exact integer arithmetic
+    (cos x = sin(pi/2 - x) = -cos(pi - x)), where rounding the argument
+    moves the result by less than an ulp of 1; cos(2 pi m / n) taken
+    directly is off by up to about 2 ulps of 1 near m = n/4.
+    """
+    m = np.arange(n // 2 + 1)
+    a, b = n // 8 + 1, 3 * n // 8 + 1  # 8m <= n for m < a, 8m <= 3n for m < b
+    step = np.pi / (2 * n)
+    return np.concatenate(
+        [np.cos(4 * m[:a] * step), np.sin((n - 4 * m[a:b]) * step), -np.cos((2 * n - 4 * m[b:]) * step)]
+    )
+
+
+def _banded_spectrum(col: np.ndarray, w: int) -> np.ndarray:
+    """lambda_j = c_0 + 2 sum_(k=1..w) c_k cos(2 pi jk / n), in O(n w).
+
+    Evaluated for j <= n/2 and mirrored, since lambda_(n-j) = lambda_j.
+    """
+    n = col.size
+    j = np.arange(n // 2 + 1)
+    lam = np.full(j.size, col[0])
+    if w:
+        cos = _cos_table(n)
+        for k in range(1, w + 1):
+            q = j * k % n
+            lam += 2.0 * col[k] * cos[np.minimum(q, n - q)]
+    return np.concatenate([lam, lam[1 : (n + 1) // 2][::-1]])
+
+
+def _banded_inverse(col: np.ndarray, w: int) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """r -> C^(-1) r for a banded circulant, None when its band is not SPD.
+
+    C = B + U V^T: B is the symmetric band matrix of offsets -w..w without
+    wrap-around, V^T reads the 2w rows idx (the first and last w), and
+    U = V S holds the wrapped corners S = (C - B)[idx, idx]. B is factored
+    once by LAPACK dpbtrf, which fails when B is not positive definite
+    (possible even for an SPD C, since B's spectrum fills the symbol's range
+    between C's sample points). By Woodbury, with y = B^(-1) r,
+    Z = B^(-1) U and the 2w x 2w capacitance K = I + Z[idx],
+    C^(-1) r = y - Z K^(-1) y[idx]: one dpbtrs and a rank-2w update, O(n w).
+    """
+    # Imported here, not at module level: scipy.linalg costs about 6 MB of
+    # resident memory and tens of milliseconds of import time, which the
+    # commands that never solve with a banded circulant should not pay.
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    n = col.size
+    band = np.zeros((w + 1, n), order="F")
+    for k in range(w + 1):
+        band[k, : n - k] = col[k]  # LAPACK lower band storage: band[i - j, j] = B[i, j]
+    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        return None
+    idx = np.r_[0:w, n - w : n]
+    offset = idx[:, None] - idx[None, :]
+    corners = np.where(np.abs(offset) > w, col[offset % n], 0.0)
+    # basis = B^(-1) V from w solves: B is persymmetric, so B^(-1) e_(n-1-i)
+    # is B^(-1) e_i reversed. B^(-1) e_i decays away from row i, so it is
+    # solved on the leading m rows (whose Cholesky factor is the leading
+    # part of B's) until its last w entries fall below 1e-290 of its
+    # largest, which leaves the rest zero to working precision. A solve of
+    # all n rows can run through subnormal numbers and take 10x longer.
+    m = min(n, 1024)
+    head = dpbtrs(chol[:, :m], np.eye(m, w, order="F"), lower=1, overwrite_b=1)[0]
+    while m < n and np.max(np.abs(head[m - w :]), initial=0.0) > 1e-290 * np.max(np.abs(head), initial=0.0):
+        m = min(n, 16 * m)
+        head = dpbtrs(chol[:, :m], np.eye(m, w, order="F"), lower=1, overwrite_b=1)[0]
+    basis = np.zeros((n, 2 * w))
+    basis[:m, :w] = head
+    basis[:, w:] = basis[::-1, :w][:, ::-1]
+    capacitance = np.eye(2 * w) + basis[idx] @ corners  # Z = basis @ corners
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        y = dpbtrs(chol, r, lower=1)[0]
+        y -= basis @ (corners @ np.linalg.solve(capacitance, y[idx]))
+        return y
+
+    return apply
+
+
+APPLY_HALF_SPECTRUM = "half_spectrum"
+APPLY_FOLDED_KERNEL = "folded_kernel"
+APPLY_BANDED_CHOLESKY = "banded_cholesky"
+
+
+def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
+    """The map r -> C^(-1) r for a real first column and real r, with its path name.
 
     half = conj(eigenvalues[: n // 2 + 1]) is rfft of the first column.
-    When n is 7-smooth (no prime factor above 7) an apply is
-    irfft(rfft(r) / half). Otherwise the first column of C^(-1),
-    irfft(1 / half), is transformed once at the power of two m >= 2n - 1,
-    and an apply is a linear convolution by one rfft and one irfft of
-    length m with the tail y[n:2n-1] folded onto y[:n-1]: circular
-    convolution without an FFT of length n. Raises PreconditionerSingular.
+    half_spectrum: when n is 7-smooth (no prime factor above 7) an apply is
+    irfft(rfft(r) / half). banded_cholesky: at any other n, a banded column
+    (_band_halfwidth) with a positive spectrum and a positive definite band
+    is applied by _banded_inverse, in O(n w) with no FFT. folded_kernel:
+    otherwise the first column of C^(-1), irfft(1 / half), is transformed
+    once at the power of two m >= 2n - 1, and an apply is a linear
+    convolution by one rfft and one irfft of length m with the tail
+    y[n:2n-1] folded onto y[:n-1]: circular convolution without an FFT of
+    length n. Raises PreconditionerSingular.
     """
     n = C.n
-    _check_nonsingular(C.eigenvalues)
-    half = np.conj(C.eigenvalues[: n // 2 + 1])
+    lam = C.eigenvalues
+    _check_nonsingular(lam)
+    half = np.conj(lam[: n // 2 + 1])
     if _is_7_smooth(n):
-        return lambda r: np.fft.irfft(np.fft.rfft(r) / half, n)
+        return APPLY_HALF_SPECTRUM, lambda r: np.fft.irfft(np.fft.rfft(r) / half, n)
+    w = _band_halfwidth(C.first_column)
+    if w is not None and float(np.min(lam)) > 0.0:
+        banded = _banded_inverse(C.first_column, w)
+        if banded is not None:
+            return APPLY_BANDED_CHOLESKY, banded
     m = 1 << (2 * n - 2).bit_length()
     kernel = np.fft.rfft(np.fft.irfft(1.0 / half, n), m)
 
@@ -385,15 +521,17 @@ def _real_inverse(C: CirculantMatrix) -> Callable[[np.ndarray], np.ndarray]:
         y[: n - 1] += y[n : 2 * n - 1]
         return y[:n]
 
-    return apply
+    return APPLY_FOLDED_KERNEL, apply
 
 
 def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
-    """Solve C z = r by division by the eigenvalues in the Fourier domain.
+    """Solve C z = r.
 
-    A real column and a real r take real FFTs only: half-spectrum division
-    when n is 7-smooth, a folded power-of-two convolution with the first
-    column of C^(-1) otherwise. A complex column or r gives the complex
+    A real column and a real r take the paths of _real_inverse, built for
+    this one call: half-spectrum division with real FFTs when n is
+    7-smooth; otherwise a banded Cholesky factorization for a banded SPD
+    column, and a folded power-of-two convolution with the first column of
+    C^(-1) for any other. A complex column or r gives the complex
     z = fft(ifft(r) / lambda). Raises PreconditionerSingular when the
     smallest eigenvalue modulus does not exceed SINGULARITY_RTOL times the
     largest (singular to machine precision).
@@ -404,7 +542,7 @@ def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(r) or np.iscomplexobj(C.first_column):
         _check_nonsingular(C.eigenvalues)
         return np.fft.fft(np.fft.ifft(r) / C.eigenvalues)
-    return _real_inverse(C)(r)
+    return _real_inverse(C)[1](r)
 
 
 STATUS_CONVERGED = "converged"
@@ -423,7 +561,10 @@ class SolveReport:
     the preconditioner, None for unpreconditioned runs.
     true_relative_residual is ||b - T x||_2 / ||b||_2 of the returned
     solution from one matvec at exit; it can exceed the last recursive
-    residual, and it is None when there is no solution.
+    residual, and it is None when there is no solution. apply_path names
+    how M^(-1) was applied: "half_spectrum", "banded_cholesky" or
+    "folded_kernel" (see _real_inverse); None when unpreconditioned or when
+    no apply was built (b = 0, singular M).
     """
 
     iterations: int
@@ -432,6 +573,7 @@ class SolveReport:
     p_used: Optional[float]
     solution: Optional[np.ndarray] = None
     true_relative_residual: Optional[float] = None
+    apply_path: Optional[str] = None
 
 
 def pcg_solve(
@@ -448,7 +590,9 @@ def pcg_solve(
     the true residual of the returned solution is reported beside it. M must
     match T's dimension and have a real first column (ValueError otherwise).
     Each iteration makes one matvec and one apply of M^(-1), built once per
-    solve from M's eigenvalues as in circulant_solve (real FFTs only).
+    solve as in circulant_solve: half-spectrum division at 7-smooth n; at
+    other n a banded Cholesky apply for a banded SPD M, a folded
+    power-of-two convolution otherwise. The report's apply_path names it.
     A singular M is reported as preconditioner_singular without iterating;
     a nonpositive preconditioned inner product r.z reports
     preconditioner_indefinite at the iteration where it appears.
@@ -478,10 +622,10 @@ def pcg_solve(
         return SolveReport(0, (0.0,), STATUS_CONVERGED, p_used, np.zeros(T.n), 0.0)
 
     if M is None:
-        precondition = np.copy  # a fresh array: the updates below write r in place
+        apply_path, precondition = None, np.copy  # a fresh array: the updates below write r in place
     else:
         try:
-            precondition = _real_inverse(M)
+            apply_path, precondition = _real_inverse(M)
         except PreconditionerSingular:
             return SolveReport(0, (), STATUS_SINGULAR, p_used, None)
 
@@ -491,7 +635,7 @@ def pcg_solve(
 
     def report(iterations: int, status: str, solution: Optional[np.ndarray]) -> SolveReport:
         true_res = None if solution is None else float(np.linalg.norm(b - _stencil(T, solution))) / bnorm
-        return SolveReport(iterations, tuple(residuals), status, p_used, solution, true_res)
+        return SolveReport(iterations, tuple(residuals), status, p_used, solution, true_res, apply_path)
 
     if residuals[-1] <= tol:
         return report(0, STATUS_CONVERGED, x)

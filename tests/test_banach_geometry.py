@@ -249,3 +249,61 @@ class TestPairGeometry:
         for value in (result.weak_inner_product, result.defect, result.angle):
             assert isinstance(value, float)
         assert 0.0 < result.angle < math.pi
+
+
+# The pairing as it was written on DiscreteFunction round trips: each
+# quantity rebuilt through dualize and the constructor's checks. The raw-array
+# core must give the same bits and raise the same errors.
+
+
+def reference_weak_inner_product(f, g, p):
+    fn, gn = DiscreteFunction(f), DiscreteFunction(g)
+    if len(fn) != len(gn):
+        raise DimensionMismatch("length")
+    h = dualize(DiscreteFunction(fn.values + gn.values), p).values
+    fstar, gstar = dualize(fn, p).values, dualize(gn, p).values
+    pair = lambda u, v: float(np.sum((u * np.conj(v)).real))  # noqa: E731
+    return 0.5 * (pair(fn.values, h - fstar) + pair(gn.values, h - gstar))
+
+
+def reference_defect(f, g, p):
+    fn, gn = DiscreteFunction(f), DiscreteFunction(g)
+    if len(fn) != len(gn):
+        raise DimensionMismatch("length")
+    s = DiscreteFunction(fn.values + gn.values)
+    return float(np.sum(np.abs(s.values) ** p)) - float(np.sum(np.abs(fn.values) ** p)) - float(
+        np.sum(np.abs(gn.values) ** p)
+    )
+
+
+class TestRawArrayCore:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5])
+    @pytest.mark.parametrize("kind", ["real", "complex", "sparse"])
+    def test_bits_match_function_round_trip(self, p, kind):
+        rng = np.random.default_rng(int(10 * p))
+        for _ in range(50):
+            n = int(rng.integers(1, 65))
+            f, g = rng.standard_normal(n), rng.standard_normal(n)
+            if kind == "complex":
+                f = f + 1j * rng.standard_normal(n)
+            if kind == "sparse":
+                f[rng.random(n) < 0.5] = 0.0
+            wip, defect = weak_inner_product(f, g, p), pythagorean_defect(f, g, p)
+            assert wip == reference_weak_inner_product(f, g, p)
+            assert defect == reference_defect(f, g, p)
+            result = pair_geometry(f, g, p)
+            assert (result.weak_inner_product, result.defect) == (wip, defect)
+
+    def test_errors_match_function_round_trip(self):
+        message = "values must be finite"
+        with np.errstate(over="ignore"):
+            big = [1.7e308, 1.0]  # f + g overflows
+            for fun in (weak_inner_product, pythagorean_defect, reference_weak_inner_product, reference_defect):
+                with pytest.raises(ValueError, match=message):
+                    fun(big, big, 2.0)
+            for fun in (weak_inner_product, reference_weak_inner_product):  # a duality map overflows
+                with pytest.raises(ValueError, match=message):
+                    fun([1e200], [1.0], 3.0)
+        for fun in (weak_inner_product, pythagorean_defect, pair_geometry):
+            with pytest.raises(DimensionMismatch):
+                fun([1.0, 2.0], [1.0], 2.0)

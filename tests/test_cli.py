@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -384,3 +387,12 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_import_loads_no_scipy(self):
+        # scipy.linalg is imported only by the banded preconditioner apply;
+        # importing the package and the CLI must not pull it in.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("lportho").__file__)))
+        code = "import sys, lportho, lportho.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -496,6 +496,144 @@ class TestCirculantSolve:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+# ---------------------------------------------------------------------------
+# Banded circulants at n with a prime factor above 7. Oracles: dense solves,
+# numpy's FFT, and the cosine sum in extended precision.
+
+PAPER_P_GRID = (1.0, 1.4, 1.6, 1.8, 3.0, 5.0, 10.0)
+EPS = np.finfo(float).eps
+BANDED_SYMBOLS = {
+    "gentle": ToeplitzSymbol.from_model(1, 2, 3),
+    "stiff": ToeplitzSymbol.from_model(0, 2, 8),
+    "laplacian": ToeplitzSymbol.from_model(0, 1, 0),  # w = 1
+    "near_singular": ToeplitzSymbol.from_model(1e-6, 2, 8),
+    "diagonal": ToeplitzSymbol({0: 2.5}),  # w = 0
+    "w3": ToeplitzSymbol({0: 10.0, 1: -3.0, -1: -3.0, 2: 1.0, -2: 1.0, 3: -0.5, -3: -0.5}),
+}
+NON_SMOOTH_N = (97, 143, 1009, 2003)  # 97, 11 * 13, 1009 and 2003
+
+
+def fft_spectrum(C):
+    return np.fft.fft(C.first_column).real
+
+
+def apply_path(C, n):
+    """The path pcg_solve reports for M = C (one apply, no iterations)."""
+    return pcg_solve(ToeplitzOperator(n, {0: 1.0}), np.ones(n), C, maxit=0).apply_path
+
+
+class TestBandedCirculant:
+    @pytest.mark.parametrize("n", NON_SMOOTH_N)
+    @pytest.mark.parametrize(
+        "name, p",
+        [(name, p) for name in ("gentle", "stiff", "laplacian", "near_singular") for p in PAPER_P_GRID]
+        + [("diagonal", 1.0), ("w3", 1.0), ("w3", 2.0)],
+    )
+    def test_solve_matches_dense_solve(self, n, name, p):
+        C = lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS[name], n), p)
+        lam = fft_spectrum(C)
+        r = np.random.default_rng(n).standard_normal(n)
+        if np.min(np.abs(lam)) <= 1e-13 * np.max(np.abs(lam)):
+            with pytest.raises(PreconditionerSingular):
+                circulant_solve(C, r)
+            return
+        if np.min(lam) > 0:
+            assert apply_path(C, n) == "banded_cholesky"
+        want = np.linalg.solve(C.to_dense(), r)
+        got = circulant_solve(C, r)
+        # both solves are backward stable: forward error a small multiple of cond * eps
+        cond = np.max(np.abs(lam)) / np.min(np.abs(lam))
+        assert np.linalg.norm(got - want) <= 16 * cond * EPS * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", NON_SMOOTH_N)
+    @pytest.mark.parametrize("name", sorted(BANDED_SYMBOLS))
+    @pytest.mark.parametrize("p", [1.0, 1.6, 10.0])
+    def test_spectrum_matches_cosine_sum_and_fft(self, n, name, p):
+        C = lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS[name], n), p)
+        lam = C.eigenvalues
+        assert lam.dtype == np.float64 and lam.shape == (n,)
+        col = C.first_column
+        w = max(k for k in range(n // 2 + 1) if col[k] != 0.0)
+        exact = np.full(n, np.longdouble(col[0]))
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        j = np.arange(n)
+        for k in range(1, w + 1):
+            exact += 2 * np.longdouble(col[k]) * np.cos(two_pi * (j * k % n) / n)
+        scale = float(np.max(np.abs(exact)))
+        if np.finfo(np.longdouble).eps < EPS:
+            assert float(np.max(np.abs(lam - exact))) <= 2 * EPS * scale
+        # numpy's FFT of these lengths is itself up to about 4.1 eps * scale
+        # away from the extended-precision sum
+        assert float(np.max(np.abs(lam - fft_spectrum(C)))) <= 8 * EPS * scale
+
+    @pytest.mark.parametrize("n", NON_SMOOTH_N + (131071,))
+    def test_cosine_table_within_an_ulp(self, n):
+        from lportho.toeplitz_preconditioning import _cos_table
+
+        if np.finfo(np.longdouble).eps >= EPS:
+            pytest.skip("no extended precision here")
+        m = np.arange(n // 2 + 1)
+        exact = np.cos(8 * np.arctan(np.longdouble(1)) * m / n)
+        # cos(2 pi m / n) in double precision is off by up to 2 ulps of 1
+        assert float(np.max(np.abs(_cos_table(n) - exact))) <= EPS
+
+    @pytest.mark.parametrize("n", [100, 128, 300, 700, 1000, 2**12])
+    @pytest.mark.parametrize("p", [1.0, 1.6])
+    def test_7_smooth_spectrum_is_the_inverse_fft(self, n, p):
+        C = lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS["stiff"], n), p)
+        np.testing.assert_array_equal(C.eigenvalues, n * np.fft.ifft(C.first_column).real)
+        if C.is_spd():
+            assert apply_path(C, n) == "half_spectrum"
+
+    def test_indefinite_band_keeps_folded_kernel(self):
+        n = 1009
+        T = build_toeplitz(BANDED_SYMBOLS["stiff"], n)
+        C = lp_circulant_minimizer(T, 1.4)
+        assert np.min(fft_spectrum(C)) < 0
+        report = pcg_solve(T, np.ones(n), C)
+        assert report.status == "preconditioner_indefinite"
+        assert report.apply_path == "folded_kernel"
+
+    def test_corrected_column_takes_folded_kernel(self):
+        n = 97
+        T = build_toeplitz(BANDED_SYMBOLS["stiff"], n)
+        C = strang_type_correction(lp_circulant_minimizer(T, 1.4), 0.0)
+        assert np.count_nonzero(C.first_column) > 2 * 8 + 1  # dense: no longer banded
+        assert apply_path(C, n) == "folded_kernel"
+        r = np.random.default_rng(5).standard_normal(n)
+        want = np.linalg.solve(C.to_dense(), r)
+        np.testing.assert_allclose(circulant_solve(C, r), want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n, name", [(11, "w3"), (97, None)])
+    def test_wide_band_takes_folded_kernel(self, n, name):
+        # n = 11 with w = 3 has 4w >= n; at n = 97 a band of 9 exceeds the cap
+        symbol = BANDED_SYMBOLS[name] if name else ToeplitzSymbol(
+            {k: (20.0 if k == 0 else -0.5) for k in range(-9, 10)}
+        )
+        C = lp_circulant_minimizer(build_toeplitz(symbol, n), 2.0)
+        assert np.min(fft_spectrum(C)) > 0
+        assert apply_path(C, n) == "folded_kernel"
+        r = np.random.default_rng(n).standard_normal(n)
+        np.testing.assert_allclose(circulant_solve(C, r), np.linalg.solve(C.to_dense(), r), rtol=1e-12, atol=1e-13)
+
+    def test_non_symmetric_band_takes_folded_kernel(self):
+        n = 97
+        col = np.zeros(n)
+        col[[0, 1, 2, n - 1]] = [4.0, -1.0, 0.5, -1.5]  # c_2 != c_(n-2)
+        C = CirculantMatrix(n, col)
+        assert apply_path(C, n) == "folded_kernel"
+        r = np.random.default_rng(8).standard_normal(n)
+        np.testing.assert_allclose(circulant_solve(C, r), np.linalg.solve(C.to_dense(), r), rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(C.eigenvalues, n * np.fft.ifft(col), rtol=0, atol=1e-13)
+
+    def test_apply_path_reported(self):
+        T = build_toeplitz(BANDED_SYMBOLS["gentle"], 97)
+        assert pcg_solve(T, np.ones(97)).apply_path is None
+        assert pcg_solve(T, np.ones(97), lp_circulant_minimizer(T, 1.0)).apply_path == "banded_cholesky"
+        T = build_toeplitz(BANDED_SYMBOLS["gentle"], 96)
+        assert pcg_solve(T, np.ones(96), lp_circulant_minimizer(T, 1.0)).apply_path == "half_spectrum"
+
+
 class TestPcgSolve:
     def test_identity_converges_immediately(self):
         T = ToeplitzOperator(8, {0: 1.0})
