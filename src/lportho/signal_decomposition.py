@@ -47,7 +47,6 @@ log = logging.getLogger("lportho")
 
 RECONSTRUCTION_RTOL = 1e-10
 OSCILLATION_RTOL = 1e-12
-_LOG_SQUARE_UNDERFLOW = -1075 * math.log(2)  # log of the largest square that rounds to 0
 
 
 class InconsistentDecomposition(ValueError):
@@ -295,90 +294,52 @@ def _moving_average_transfer(n: int, halfwidth: int) -> np.ndarray:
     return np.fft.fft(kernel).real
 
 
-def _relative_change(m: np.ndarray, m_prev: np.ndarray) -> float:
-    """The inner stopping ratio ||m - m_prev|| / ||m_prev||, 0 when m_prev is 0."""
-    change = float(np.linalg.norm(m - m_prev))
-    base = float(np.linalg.norm(m_prev))
-    return change / base if base > 0 else 0.0
-
-
-def _iterate_stage(
-    rhat: np.ndarray, damp: np.ndarray, delta: float, max_inner: int
+def _filter_stage(
+    rhat: np.ndarray, tau: np.ndarray, damp: np.ndarray, delta: float, max_inner: int
 ) -> tuple[np.ndarray, int, float]:
-    """Run a stage's inner passes one by one; return (iterate, passes, ratio)."""
-    m_prev = rhat
-    ach = math.inf
-    for it in range(1, max_inner + 1):
-        m = damp * m_prev
-        ach = _relative_change(m, m_prev)
-        m_prev = m
-        if ach <= delta:
-            return m_prev, it, ach
-    return m_prev, max_inner, ach
+    """A stage's iterate damp^N rhat, its pass count N and the ratio at pass N.
 
-
-def _stopping_pass(rhat: np.ndarray, tau: np.ndarray, damp: np.ndarray, delta: float, max_inner: int) -> int:
-    """The first pass N <= max_inner whose ratio is <= delta, else max_inner.
-
-    Pass N compares damp^N r against damp^(N-1) r, so its squared ratio is
-    sum(tau^2 g) / sum(g) with weights g = damp^(2N-2) |r|^2: a weighted
-    mean of tau^2 whose weights shift toward small tau as N grows, hence
-    nonincreasing in N, and N is found by bisection. The weights are
-    handled as logarithms shifted by their maximum, so none underflows
-    before the iterate itself would. Once every |m_(N-1)|^2 rounds to 0,
-    the pass's norm is 0 and its ratio 0, and so is this one.
+    Pass N compares damp^N r against damp^(N-1) r, so its relative l2 change
+    is ratio(N) = sqrt(sum(tau^2 g) / sum(g)) with weights
+    g = damp^(2N-2) |r|^2: a weighted mean of tau^2 whose weights shift
+    toward small tau as N grows, hence nonincreasing in N. N is the first
+    pass <= max_inner with ratio(N) <= delta, else max_inner, found by
+    bisection. |r| is scaled by an exact power of two to a maximum in
+    [1/2, 1) and the weights are held as logarithms shifted by their
+    maximum, so the largest weight is 1 and neither N nor the ratio
+    depends on the signal's amplitude. A pass at which every weight is 0
+    (an all-zero remainder, say) has ratio 0.
     """
+    mag = np.abs(rhat)
+    mag = np.ldexp(mag, -np.frexp(np.max(mag))[1])
     with np.errstate(divide="ignore"):
-        log_w = 2.0 * np.log(np.abs(rhat))
+        log_w = 2.0 * np.log(mag)
         log_d2 = 2.0 * np.log(damp)
     tau2 = tau * tau
 
-    def stops(n: int) -> bool:
+    def ratio(n: int) -> float:
         log_g = log_w if n == 1 else log_w + (n - 1) * log_d2
-        top = float(np.max(log_g))
-        if top < _LOG_SQUARE_UNDERFLOW:
-            return True
+        top = np.max(log_g)
+        if top == -np.inf:
+            return 0.0
         g = np.exp(log_g - top)
-        return float(tau2 @ g) <= delta * delta * float(np.sum(g))
+        # np.sum, not a BLAS dot: the ratio must not depend on the BLAS thread count
+        return math.sqrt(float(np.sum(tau2 * g)) / float(np.sum(g)))
 
-    if not stops(max_inner):
-        return max_inner
-    lo, hi = 1, max_inner  # stops(hi) holds; find the first n that stops
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if stops(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _bisected_stage(
-    rhat: np.ndarray, tau: np.ndarray, damp: np.ndarray, delta: float, max_inner: int
-) -> tuple[np.ndarray, int, float] | None:
-    """_iterate_stage's result from the bisected stopping pass N, or None.
-
-    The iterate is replayed with the passes' own ufunc, in place, so it is
-    bit for bit theirs. None when the norms of the passes overflow (their
-    ratios are then not the closed form's), or when the exact ratios at N
-    and N - 1 disagree with N.
-    """
-    if not math.isfinite(np.linalg.norm(rhat)):  # no later pass has a larger norm
-        return None
-    n_used = _stopping_pass(rhat, tau, damp, delta, max_inner)
-    m_prev = rhat.copy()
-    for _ in range(n_used - 2):
-        np.multiply(damp, m_prev, out=m_prev)
-    ach_before = math.inf
-    if n_used >= 2:
-        m = damp * m_prev
-        ach_before = _relative_change(m, m_prev)
-        m_prev = m
-    m = damp * m_prev
-    ach = _relative_change(m, m_prev)
-    if ach_before > delta and (ach <= delta or n_used == max_inner):
-        return m, n_used, ach
-    return None
+    n_used, ach = max_inner, ratio(max_inner)
+    if ach <= delta:
+        lo = 1
+        while lo < n_used:
+            mid = (lo + n_used) // 2
+            r = ratio(mid)
+            if r <= delta:
+                n_used, ach = mid, r
+            else:
+                lo = mid + 1
+    m = rhat.copy()
+    for _ in range(n_used):
+        np.multiply(damp, m, out=m)
+    return m, n_used, ach
 
 
 def fif_decompose(
@@ -394,15 +355,17 @@ def fif_decompose(
     applies the high-pass complement to the running remainder: the inner
     iterate after N passes is (1 - tau)^N * remainder_hat. N is the first
     pass whose relative l2 change ||m_N - m_(N-1)|| / ||m_(N-1)|| drops to
-    delta, capped at max_inner. Since the iterate is a closed form in N,
-    N is found by bisection on real weights, without iterating on the
-    spectrum; the iterate is then replayed in place, pass by pass, so it is
-    bit for bit the one the passes give, and the ratios at N and N - 1 are
-    checked exactly (a stage whose checks disagree, or whose norms
-    overflow, runs its passes one by one). A stage that hits the cap is
+    delta, capped at max_inner. The iterate is a closed form in N, and so
+    is that ratio: a weighted mean over frequencies, evaluated on weights
+    normalised by a power of two and shifted by their maximum, so it does
+    not depend on the signal's amplitude: scaling s by 2^k leaves meta
+    unchanged and scales every part by 2^k. N is found by bisection
+    on that ratio, achieved_delta is the ratio at N, and the iterate is
+    formed once with N in-place passes. A stage that hits the cap is
     recorded in meta and logged as a warning on the "lportho" logger, not
     raised. The stabilized iterate is extracted as a component, the rest
-    moves on, and the final remainder is the trend.
+    moves on, and the final remainder is the trend. max_inner must be an
+    integral value >= 1.
 
     Because every stage scales each frequency by a factor in [0, 1] and the
     factors telescope to a partition of unity, the output conserves the L1
@@ -421,6 +384,9 @@ def fif_decompose(
         raise ValueError(f"halfwidths must be < n/2 = {s.n / 2}")
     if not (delta > 0):
         raise ValueError("delta must be positive")
+    if int(max_inner) != max_inner:
+        raise ValueError("max_inner must be an integer")
+    max_inner = int(max_inner)
     if max_inner < 1:
         raise ValueError("max_inner must be >= 1")
 
@@ -433,8 +399,7 @@ def fif_decompose(
     for hw in hws:
         tau = np.clip(_moving_average_transfer(s.n, hw) ** 2, 0.0, 1.0)
         damp = 1.0 - tau
-        stage = _bisected_stage(rhat, tau, damp, delta, max_inner)
-        phihat, n_used, ach = stage or _iterate_stage(rhat, damp, delta, max_inner)
+        phihat, n_used, ach = _filter_stage(rhat, tau, damp, delta, max_inner)
         if ach > delta:
             log.warning(
                 "fif_decompose: stage with halfwidth %d stopped at max_inner = %d with relative change %.3g > delta = %.3g",
@@ -450,7 +415,7 @@ def fif_decompose(
     meta = {
         "halfwidths": hws,
         "delta": float(delta),
-        "max_inner": int(max_inner),
+        "max_inner": max_inner,
         "inner_iterations": inner_counts,
         "achieved_delta": achieved,
         "converged": converged,
