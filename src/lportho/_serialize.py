@@ -15,11 +15,13 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, repeat
-from typing import Any, IO, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-__all__ = ["format_float", "format_rows", "read_numbers", "dumps_json", "dump_json"]
+__all__ = ["format_float", "format_rows", "read_numbers", "dumps_json"]
+
+_INDENT = "  "  # per JSON nesting level
 
 
 def format_float(x: float) -> str:
@@ -67,9 +69,9 @@ def read_numbers(path: str) -> tuple[np.ndarray, list[str]]:
     return np.fromiter(map(float, lines), float, len(lines)), comments
 
 
-def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closepad = " " * (indent * level)
+def _emit(obj: Any, out: list[str], level: int) -> None:
+    pad = _INDENT * (level + 1)
+    closepad = _INDENT * level
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -92,7 +94,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
             out.append(pad + json.dumps(k) + ": ")
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closepad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -105,19 +107,15 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closepad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
+def dumps_json(obj: Any) -> str:
     parts: list[str] = []
-    _emit(obj, parts, indent, 0)
+    _emit(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
-
-
-def dump_json(obj: Any, fh: IO[str], indent: int = 2) -> None:
-    fh.write(dumps_json(obj, indent=indent))

@@ -226,7 +226,7 @@ def _cmd_precond_bench(args: argparse.Namespace) -> int:
     if args.tol is not None:
         doc["tol"] = args.tol
     config = BenchmarkConfig.from_dict(doc)
-    result = run_benchmark(config, workers=args.workers)
+    result = run_benchmark(config)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
     with open(os.path.join(args.out_dir, "table.csv"), "w", encoding="utf-8") as fh:
@@ -346,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("precond-bench", help="iteration tables over an (n, p) grid")
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--out-dir", default="lportho-out")
-    p_bench.add_argument("--workers", type=int, default=4)
+    p_bench.add_argument("--workers", type=int, default=None, help="ignored: the grid runs serially")
     p_bench.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_bench.add_argument("--correction", choices=["on", "off"], default=None, help="override the config correction switch")
     p_bench.add_argument("--tol", type=float, default=None, help="override the config solver tolerance")

@@ -284,14 +284,13 @@ def _moving_average_transfer(n: int, halfwidth: int) -> np.ndarray:
 
     The filter puts weight 1/(2L+1) on offsets -L..L; its transfer is the
     real Dirichlet-type kernel (1 + 2 sum_{j<=L} cos(2 pi jk/n))/(2L+1).
+    The kernel is transformed as ones and the transfer divided by 2L+1,
+    so the DC bin is the exact integer sum and the DC gain is exactly 1.
     """
     kernel = np.zeros(n)
-    w = 1.0 / (2 * halfwidth + 1)
-    kernel[0] = w
-    for j in range(1, halfwidth + 1):
-        kernel[j] = w
-        kernel[-j] = w
-    return np.fft.fft(kernel).real
+    kernel[: halfwidth + 1] = 1.0
+    kernel[n - halfwidth:] = 1.0
+    return np.fft.fft(kernel).real / (2 * halfwidth + 1)
 
 
 def _filter_stage(

@@ -25,8 +25,8 @@ iteration-count tables.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -750,9 +750,23 @@ def preconditioned_spectrum_diagnostic(T: ToeplitzOperator, C: CirculantMatrix) 
 # Benchmark driver: iteration-count tables over an (n, p) grid.
 
 
+def _number(key: str, x: object, kind: type = float) -> float:
+    """x as kind, float or int; ValueError naming key unless x is a finite
+    real number (a bool is not), of integral value when kind is int."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x) or (kind is int and x != int(x)):
+        raise ValueError(f"{key} must be a finite {kind.__name__}, got {x!r}")
+    return kind(x)
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """One table's worth of solver runs for a single model symbol."""
+    """One table's worth of solver runs for a single model symbol.
+
+    Every value is checked here, with a ValueError naming its key: alpha,
+    beta, gamma, tol and the p_list entries are finite numbers, stored as
+    float; the n_list entries are distinct positive integers, and maxit and
+    seed None or integers, stored as int (16.0 passes, 16.7 does not).
+    """
 
     alpha: float
     beta: float
@@ -760,55 +774,49 @@ class BenchmarkConfig:
     n_list: tuple[int, ...]
     p_list: tuple[float, ...]
     tol: float = DEFAULT_PCG_TOL
-    maxit: Optional[int] = None  # per-cell default: 10n
+    maxit: Optional[int] = None  # per-cell default: pcg_solve's 10n
     correction: str = "off"
     rhs: str = "ones"
     seed: Optional[int] = None
-
-    _FIELDS = {"alpha", "beta", "gamma", "n_list", "p_list", "tol", "maxit", "correction", "rhs", "seed"}
 
     def __post_init__(self) -> None:
         if self.correction not in ("on", "off"):
             raise ValueError(f"correction must be 'on' or 'off', got {self.correction!r}")
         if self.rhs not in ("ones", "random"):
             raise ValueError(f"rhs must be 'ones' or 'random', got {self.rhs!r}")
-        if not self.n_list or any(int(n) < 1 for n in self.n_list):
+        for key in ("alpha", "beta", "gamma", "tol"):
+            object.__setattr__(self, key, _number(key, getattr(self, key)))
+        for key, kind in (("n_list", int), ("p_list", float)):
+            entries = getattr(self, key)
+            if not isinstance(entries, (list, tuple, np.ndarray)):
+                raise ValueError(f"{key} must be a list of numbers, got {entries!r}")
+            object.__setattr__(self, key, tuple(_number(f"{key} entry", x, kind) for x in entries))
+        for key in ("maxit", "seed"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _number(key, getattr(self, key), int))
+        if not self.n_list or min(self.n_list) < 1:
             raise ValueError("n_list must contain positive dimensions")
-        if not self.p_list or any(float(p) < 1 for p in self.p_list):
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ValueError(f"n_list entries must be distinct, got {list(self.n_list)}")
+        if not self.p_list or min(self.p_list) < 1:
             raise ValueError("p_list entries must be >= 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
         if self.maxit is not None and self.maxit < 0:
             raise ValueError(f"maxit must be >= 0, got {self.maxit}")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(self, "p_list", tuple(float(p) for p in self.p_list))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":
-        unknown = set(doc) - cls._FIELDS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown benchmark config keys: {sorted(unknown)}")
-        missing = {"alpha", "beta", "gamma", "n_list", "p_list"} - set(doc)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(doc)
         if missing:
             raise ValueError(f"benchmark config missing keys: {sorted(missing)}")
-        kwargs = dict(doc)
-        kwargs["n_list"] = tuple(kwargs["n_list"])
-        kwargs["p_list"] = tuple(kwargs["p_list"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": float(self.alpha),
-            "beta": float(self.beta),
-            "gamma": float(self.gamma),
-            "n_list": list(self.n_list),
-            "p_list": list(self.p_list),
-            "tol": float(self.tol),
-            "maxit": self.maxit,
-            "correction": self.correction,
-            "rhs": self.rhs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -841,9 +849,8 @@ def _bench_cell(
     config: BenchmarkConfig,
 ) -> BenchmarkCell:
     T = build_toeplitz(symbol, n)
-    maxit = config.maxit if config.maxit is not None else 10 * n
     if p is None:
-        report = pcg_solve(T, b, None, config.tol, maxit)
+        report = pcg_solve(T, b, None, config.tol, config.maxit)
         return BenchmarkCell(n, None, report, None)
     C = lp_circulant_minimizer(T, p)
     if config.correction == "on" and not C.is_spd():
@@ -851,36 +858,25 @@ def _bench_cell(
             C = strang_type_correction(C, 0.0)
         except UncorrectableSpectrum:
             pass  # run with the raw circulant; failure shows in the report
-    report = pcg_solve(T, b, C, config.tol, maxit)
+    report = pcg_solve(T, b, C, config.tol, config.maxit)
     return BenchmarkCell(n, p, report, circulant_spectrum(C))
 
 
-def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkResult:
-    """Sweep the (n, p) grid plus the unpreconditioned column.
+def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
+    """Sweep the (n, p) grid plus the unpreconditioned column, serially.
 
-    Right-hand sides are all-ones, or standard normal draws (one per n,
-    shared across that row) when rhs='random'. Cells are independent, so a
-    thread pool of the given size may run them concurrently; results come
-    back in deterministic row-major order either way.
+    Rows run in n_list order and cells within a row in p_list order, the
+    unpreconditioned cell last. A row's right-hand side is all-ones, or
+    when rhs='random' one standard normal draw of length n from the seeded
+    generator, shared by the row's cells.
     """
     symbol = ToeplitzSymbol.from_model(config.alpha, config.beta, config.gamma)
-    rhs_by_n: dict[int, np.ndarray] = {}
     rng = np.random.default_rng(config.seed)
+    cells = []
     for n in config.n_list:
-        rhs_by_n[n] = np.ones(n) if config.rhs == "ones" else rng.standard_normal(n)
-    grid: list[tuple[int, Optional[float]]] = [
-        (n, p) for n in config.n_list for p in list(config.p_list) + [None]
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda np_pair: _bench_cell(symbol, np_pair[0], np_pair[1], rhs_by_n[np_pair[0]], config), grid))
-    else:
-        cells = [_bench_cell(symbol, n, p, rhs_by_n[n], config) for n, p in grid]
+        b = np.ones(n) if config.rhs == "ones" else rng.standard_normal(n)
+        cells += [_bench_cell(symbol, n, p, b, config) for p in config.p_list + (None,)]
     return BenchmarkResult(config, tuple(cells))
-
-
-def _format_p_label(p: float) -> str:
-    return format(p, "g")
 
 
 def _cell_text(cell: BenchmarkCell) -> str:
@@ -892,7 +888,7 @@ def _cell_text(cell: BenchmarkCell) -> str:
 def _table_rows(result: BenchmarkResult) -> list[list[str]]:
     """Header row, then one row per n: iteration counts, '#' for failed cells."""
     p_cols = list(result.config.p_list) + [None]
-    header = ["n"] + [f"p={_format_p_label(p)}" for p in result.config.p_list] + ["n. p."]
+    header = ["n"] + [f"p={p:g}" for p in result.config.p_list] + ["n. p."]
     rows = [[str(n)] + [_cell_text(result.cell(n, p)) for p in p_cols] for n in result.config.n_list]
     return [header] + rows
 

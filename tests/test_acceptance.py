@@ -204,7 +204,7 @@ def test_criterion_07_gentle_model_iteration_table():
     config = BenchmarkConfig(
         1.0, 2.0, 3.0, N_LIST, (1.0, 1.4, 1.6, 1.8, 3.0, 5.0, 10.0)
     )
-    result = run_benchmark(config, workers=4)
+    result = run_benchmark(config)
     for p, refs in GENTLE_REFERENCE.items():
         for n, ref in zip(N_LIST, refs):
             report = result.cell(n, p).report
@@ -227,7 +227,7 @@ def test_criterion_08_stiff_model_iteration_table():
     config = BenchmarkConfig(
         0.0, 2.0, 8.0, N_LIST, (1.0, 1.4, 1.6, 1.8, 3.0, 5.0, 10.0)
     )
-    result = run_benchmark(config, workers=4)
+    result = run_benchmark(config)
     for n in N_LIST:
         for p in (1.0, 1.4):
             status = result.cell(n, p).report.status

@@ -248,22 +248,29 @@ class TestPrecondBench:
         assert manifest["parameters"]["n_list"] == [100]
 
     def test_workers_do_not_change_results(self, tmp_path, capsys):
+        # --workers still parses, and is ignored: the grid runs serially
         cfg = self.write_config(
             tmp_path,
             {"alpha": 1, "beta": 2, "gamma": 3, "n_list": [64, 100], "p_list": [1.0, 2.0]},
         )
         tables = []
-        for workers, d in ((1, "w1"), (4, "w4")):
-            out_dir = tmp_path / d
-            run_cli(
-                capsys,
-                [
-                    "precond-bench", "--config", cfg,
-                    "--out-dir", str(out_dir), "--workers", str(workers),
-                ],
-            )
-            tables.append((out_dir / "table.csv").read_text())
-        assert tables[0] == tables[1]
+        for name, flags in (("w1", ["--workers", "1"]), ("w4", ["--workers", "4"]), ("none", [])):
+            out_dir = tmp_path / name
+            code, _, _ = run_cli(capsys, ["precond-bench", "--config", cfg, "--out-dir", str(out_dir), *flags])
+            assert code == 0
+            tables.append((out_dir / "table.csv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+
+    BAD_VALUES = [("alpha", "1"), ("alpha", [1]), ("tol", "1e-3"), ("maxit", 2.5), ("n_list", [16.7]), ("p_list", [None]), ("seed", True)]
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=[f"{k}={v!r}" for k, v in BAD_VALUES])
+    def test_bad_config_value_is_an_error(self, tmp_path, capsys, key, value):
+        doc = {"alpha": 1, "beta": 2, "gamma": 3, "n_list": [16], "p_list": [2.0], key: value}
+        out_dir = tmp_path / "bench"
+        code, out, err = run_cli(capsys, ["precond-bench", "--config", self.write_config(tmp_path, doc), "--out-dir", str(out_dir)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and key in err
+        assert not out_dir.exists()
 
     def test_correction_override(self, tmp_path, capsys):
         cfg = self.write_config(
@@ -389,10 +396,14 @@ class TestTopLevel:
             main(["frobnicate"])
 
     def test_import_loads_no_scipy(self):
-        # scipy.linalg is imported only by the banded preconditioner apply;
-        # importing the package and the CLI must not pull it in.
+        # scipy.linalg is imported only by the banded preconditioner apply,
+        # and nothing runs on a thread pool; importing the package and the
+        # CLI must pull in neither.
         src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("lportho").__file__)))
-        code = "import sys, lportho, lportho.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = (
+            "import sys, lportho, lportho.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

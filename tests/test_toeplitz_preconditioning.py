@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from lportho._serialize import dumps_json
 from lportho.toeplitz_preconditioning import (
     DEFAULT_PCG_TOL,
     DENSE_DIAGNOSTIC_LIMIT,
@@ -804,6 +805,18 @@ class TestSpectrumDiagnostic:
             preconditioned_spectrum_diagnostic(T, lp_circulant_minimizer(T, 2))
 
 
+SMALL_CONFIG = {"alpha": 1, "beta": 2, "gamma": 3, "n_list": [8], "p_list": [2.0]}
+# Values the benchmark config must reject with a ValueError naming the key.
+BAD_CONFIG_VALUES = [
+    ("alpha", "1"), ("alpha", [1]), ("alpha", math.nan), ("beta", None), ("gamma", True),
+    ("tol", "1e-3"), ("tol", math.inf),
+    ("p_list", ["2"]), ("p_list", [None]), ("p_list", [False]), ("p_list", 2.0),
+    ("n_list", [16.7]), ("n_list", [True]), ("n_list", ["16"]), ("n_list", "16"),
+    ("maxit", 2.5), ("maxit", "40"), ("seed", 1.5), ("seed", False),
+]
+BAD_CONFIG_IDS = [f"{key}={value!r}" for key, value in BAD_CONFIG_VALUES]
+
+
 class TestBenchmark:
     def test_config_round_trip(self):
         cfg = BenchmarkConfig(1, 2, 3, (100,), (1.0, 2.0), seed=7)
@@ -836,6 +849,27 @@ class TestBenchmark:
                 {"alpha": 1, "beta": 2, "gamma": 3, "n_list": [8], "p_list": [2], "maxit": -2}
             )
 
+    @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES, ids=BAD_CONFIG_IDS)
+    def test_config_rejects_bad_values(self, key, value):
+        doc = dict(SMALL_CONFIG, **{key: value})
+        with pytest.raises(ValueError, match=key):
+            BenchmarkConfig.from_dict(doc)
+
+    def test_config_rejects_repeated_dimension(self):
+        with pytest.raises(ValueError, match="n_list"):
+            BenchmarkConfig(1, 2, 3, (8, 16, 8), (2.0,))
+
+    def test_config_stores_plain_numbers(self):
+        # integral floats and numpy scalars become Python ints and floats,
+        # which the manifest's JSON emitter accepts
+        doc = dict(SMALL_CONFIG, alpha=1, tol=np.float64(1e-6), n_list=[8.0, np.int64(16)], maxit=40.0, seed=np.int64(3))
+        cfg = BenchmarkConfig.from_dict(doc)
+        want = BenchmarkConfig(1.0, 2.0, 3.0, (8, 16), (2.0,), tol=1e-6, maxit=40, seed=3)
+        assert cfg == want
+        values = (cfg.alpha, cfg.beta, cfg.tol, cfg.maxit, cfg.seed, *cfg.n_list, *cfg.p_list)
+        assert [type(v) for v in values] == [float, float, float, int, int, int, int, float]
+        assert dumps_json(cfg.to_dict()) == dumps_json(want.to_dict())
+
     def test_small_sweep_cells(self):
         cfg = BenchmarkConfig(1, 2, 3, (100,), (1.0,))
         result = run_benchmark(cfg)
@@ -845,11 +879,16 @@ class TestBenchmark:
         assert result.cell(100, 1.0).circulant_eigenvalues is not None
         assert result.cell(100, None).circulant_eigenvalues is None
 
-    def test_workers_agree_with_serial(self):
-        cfg = BenchmarkConfig(1, 2, 3, (64, 100), (1.0, 2.0))
-        serial = run_benchmark(cfg, workers=1)
-        threaded = run_benchmark(cfg, workers=4)
-        assert render_table_csv(serial) == render_table_csv(threaded)
+    def test_random_rhs_is_one_draw_per_row_in_order(self):
+        cfg = BenchmarkConfig(1, 2, 3, (48, 32), (2.0,), rhs="random", seed=5)
+        result = run_benchmark(cfg)
+        rng = np.random.default_rng(5)
+        for n in (48, 32):
+            b = rng.standard_normal(n)
+            T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), n)
+            for p, M in ((2.0, lp_circulant_minimizer(T, 2.0)), (None, None)):
+                want = pcg_solve(T, b, M, cfg.tol).solution
+                assert np.array_equal(result.cell(n, p).report.solution, want), (n, p)
 
     def test_random_rhs_deterministic_under_seed(self):
         cfg = BenchmarkConfig(1, 2, 3, (64,), (2.0,), rhs="random", seed=11)
