@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -94,12 +95,22 @@ class PExponent:
     def __post_init__(self) -> None:
         p = float(self.p)
         if not (math.isfinite(p) and p >= 1.0):
-            raise ValueError(f"exponent must satisfy p >= 1, got {self.p!r}")
+            raise ValueError(f"exponent p must be a finite number >= 1, got {self.p!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", math.inf if p == 1.0 else p / (p - 1.0))
 
 
 ExponentLike = Union[PExponent, float, int]
+
+
+def _positive(name: str, x: float) -> float:
+    """x as a float; ValueError naming it unless x is a finite real number > 0 (a bool is not).
+
+    The rule for every tolerance the package receives, as PExponent is for exponents.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {x!r}")
+    return float(x)
 
 
 def _as_function(f: FunctionLike) -> DiscreteFunction:
@@ -248,10 +259,9 @@ def is_orthogonal(
     """True when the weak inner product vanishes to within tol.
 
     The threshold is hybrid relative/absolute:
-    |wip| <= tol * max(1, ||f||_p^p, ||g||_p^p).
+    |wip| <= tol * max(1, ||f||_p^p, ||g||_p^p); tol must be a finite number > 0.
     """
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise ValueError("tol must be positive")
+    tol = _positive("tol", tol)
     fn, gn, pv, s = _operands(f, g, p)
     wip = _weak_inner_product(fn.values, gn.values, s, fn.weight, pv)
     scale = max(1.0, _norm_power(fn.values, fn.weight, pv), _norm_power(gn.values, gn.weight, pv))

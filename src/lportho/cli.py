@@ -43,7 +43,6 @@ from .signal_decomposition import (
 )
 from .toeplitz_preconditioning import (
     BenchmarkConfig,
-    BenchmarkResult,
     DENSE_DIAGNOSTIC_LIMIT,
     ToeplitzSymbol,
     build_toeplitz,
@@ -65,26 +64,43 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _write(out_dir: str, name: str, text: str) -> str:
+    """Write text to out_dir/name, creating its directory, and return name.
+
+    newline="" writes the text as it is, so audit's write-back of a file it
+    read the same way keeps every byte.
+    """
+    path = os.path.join(out_dir, name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return name
+
+
 def _write_manifest(
-    out_dir: str,
-    command: str,
-    inputs: list[str],
-    parameters: dict,
+    args: argparse.Namespace,
+    inputs: Sequence[str],
     outputs: list[str],
-    seed: Optional[int],
+    parameters: Optional[dict] = None,
+    seed: Optional[int] = None,
 ) -> None:
+    """manifest.json in args.out_dir. inputs names the arguments that hold
+    input paths; parameters default to every other parsed argument except
+    the output directory."""
+    if parameters is None:
+        skip = {"command", "func", "out_dir", *inputs}
+        parameters = {k: v for k, v in vars(args).items() if k not in skip}
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
-        "inputs": inputs,
+        "inputs": [getattr(args, k) for k in inputs],
         "parameters": parameters,
         "seed": seed,
-        "out_dir": out_dir,
+        "out_dir": args.out_dir,
         "outputs": outputs,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(manifest))
+    _write(args.out_dir, "manifest.json", dumps_json(manifest))
 
 
 def _print_json(doc: dict) -> None:
@@ -140,137 +156,80 @@ def _report_text(report: EnergyReport) -> str:
 
 
 def _emit_report_files(out_dir: str, report: EnergyReport) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
-    with open(os.path.join(out_dir, "energy_report.json"), "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(energy_report_to_dict(report)))
-    outputs.append("energy_report.json")
-    with open(os.path.join(out_dir, "energy_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(_report_text(report))
-    outputs.append("energy_report.txt")
-    with open(os.path.join(out_dir, "spectrum_comparison.csv"), "w", encoding="utf-8") as fh:
-        shat, summed = report.signal_abs.tolist(), report.components_abs_sum.tolist()
-        fh.write("xi,signal_abs,components_abs_sum\n" + format_rows("%d,%.17g,%.17g\n", range(len(shat)), shat, summed))
-    outputs.append("spectrum_comparison.csv")
-    return outputs
+    outputs = [
+        _write(out_dir, "energy_report.json", dumps_json(energy_report_to_dict(report))),
+        _write(out_dir, "energy_report.txt", _report_text(report)),
+    ]
+    shat, summed = report.signal_abs.tolist(), report.components_abs_sum.tolist()
+    rows = format_rows("%d,%.17g,%.17g\n", range(len(shat)), shat, summed)
+    return outputs + [_write(out_dir, "spectrum_comparison.csv", "xi,signal_abs,components_abs_sum\n" + rows)]
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     s = read_signal_csv(args.signal)
-    halfwidths = [int(h) for h in args.halfwidths.split(",") if h.strip()]
-    d = fif_decompose(s, halfwidths, args.delta, args.max_inner)
+    args.halfwidths = [int(h) for h in args.halfwidths.split(",") if h.strip()]
+    d = fif_decompose(s, args.halfwidths, args.delta, args.max_inner)
     report = check_energy_conservation(d, args.tol)
-    outputs = ["decomposition.json"] + _emit_report_files(args.out_dir, report)
-    with open(os.path.join(args.out_dir, "decomposition.json"), "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(decomposition_to_dict(d)))
-    _write_manifest(
-        args.out_dir,
-        "decompose",
-        [args.signal],
-        {
-            "halfwidths": halfwidths,
-            "delta": float(args.delta),
-            "max_inner": int(args.max_inner),
-            "tol": float(args.tol),
-        },
-        outputs,
-        None,
-    )
+    outputs = [_write(args.out_dir, "decomposition.json", dumps_json(decomposition_to_dict(d)))]
+    outputs += _emit_report_files(args.out_dir, report)
+    _write_manifest(args, ["signal"], outputs)
     log.info("decomposition written to %s", args.out_dir)
     _print_json(energy_report_to_dict(report))
     return 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    with open(args.decomposition, "rb") as fh:
-        data = fh.read()
-    d = decomposition_from_dict(json.loads(data.decode("utf-8")))
-    report = check_energy_conservation(d, args.tol)
+    with open(args.decomposition, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    report = check_energy_conservation(decomposition_from_dict(json.loads(text)), args.tol)
     if args.out_dir:
         outputs = ["decomposition.json"] + _emit_report_files(args.out_dir, report)
         target = os.path.join(args.out_dir, "decomposition.json")
         if not (os.path.exists(target) and os.path.samefile(target, args.decomposition)):
-            with open(target, "wb") as fh:  # the bytes read, not a re-serialization
-                fh.write(data)
-        _write_manifest(
-            args.out_dir,
-            "audit",
-            [args.decomposition],
-            {"tol": float(args.tol)},
-            outputs,
-            None,
-        )
+            _write(args.out_dir, "decomposition.json", text)  # the text read, not a re-serialization
+        _write_manifest(args, ["decomposition"], outputs)
     _print_json(energy_report_to_dict(report))
     return 0
 
 
-def _write_spectrum_csv(path: str, eigenvalues: np.ndarray) -> None:
+def _spectrum_csv(eigenvalues: np.ndarray) -> str:
     lam = np.asarray(eigenvalues)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     index = range(lam.size)
     if np.iscomplexobj(lam) and float(np.max(np.abs(lam.imag))) > 1e-12 * max(scale, 1.0):
-        text = "j,lambda_re,lambda_im\n" + format_rows("%d,%.17g,%.17g\n", index, lam.real.tolist(), lam.imag.tolist())
-    else:
-        text = "j,lambda\n" + format_rows("%d,%.17g\n", index, np.real(lam).tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        return "j,lambda_re,lambda_im\n" + format_rows("%d,%.17g,%.17g\n", index, lam.real.tolist(), lam.imag.tolist())
+    return "j,lambda\n" + format_rows("%d,%.17g\n", index, np.real(lam).tolist())
 
 
 def _cmd_precond_bench(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.correction is not None:
-        doc["correction"] = args.correction
-    if args.tol is not None:
-        doc["tol"] = args.tol
-    config = BenchmarkConfig.from_dict(doc)
+        config = BenchmarkConfig.from_dict(json.load(fh))
     result = run_benchmark(config)
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs = []
-    with open(os.path.join(args.out_dir, "table.csv"), "w", encoding="utf-8") as fh:
-        fh.write(render_table_csv(result))
-    outputs.append("table.csv")
-    with open(os.path.join(args.out_dir, "table.md"), "w", encoding="utf-8") as fh:
-        fh.write(render_table_markdown(result))
-    outputs.append("table.md")
-    spectra_dir = os.path.join(args.out_dir, "spectra")
-    os.makedirs(spectra_dir, exist_ok=True)
+    outputs = [
+        _write(args.out_dir, "table.csv", render_table_csv(result)),
+        _write(args.out_dir, "table.md", render_table_markdown(result)),
+    ]
     for cell in result.cells:
-        if cell.p is None or cell.circulant_eigenvalues is None:
-            continue
-        name = f"spectrum_n{cell.n}_p{format(cell.p, 'g')}.csv"
-        _write_spectrum_csv(os.path.join(spectra_dir, name), cell.circulant_eigenvalues)
-        outputs.append(os.path.join("spectra", name))
-    _write_manifest(
-        args.out_dir,
-        "precond-bench",
-        [args.config],
-        config.to_dict(),
-        outputs,
-        config.seed,
-    )
+        if cell.circulant_eigenvalues is not None:
+            name = os.path.join("spectra", f"spectrum_n{cell.n}_p{cell.p:g}.csv")
+            outputs.append(_write(args.out_dir, name, _spectrum_csv(cell.circulant_eigenvalues)))
+    _write_manifest(args, ["config"], outputs, config.to_dict(), config.seed)
     log.info("benchmark written to %s", args.out_dir)
     sys.stdout.write(render_table_markdown(result))
     return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    symbol = ToeplitzSymbol.from_model(args.alpha, args.beta, args.gamma)
-    T = build_toeplitz(symbol, args.n)
+    T = build_toeplitz(ToeplitzSymbol.from_model(args.alpha, args.beta, args.gamma), args.n)
     C = lp_circulant_minimizer(T, args.p)
-    corrected = False
-    if args.correction == "on" and not C.is_spd():
-        C = strang_type_correction(C, 0.0)
-        corrected = True
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs = ["circulant_spectrum.csv"]
+    corrected = args.correction == "on" and not C.is_spd()
+    if corrected:
+        C = strang_type_correction(C)
     lam = circulant_spectrum(C)
-    _write_spectrum_csv(os.path.join(args.out_dir, "circulant_spectrum.csv"), lam)
+    outputs = [_write(args.out_dir, "circulant_spectrum.csv", _spectrum_csv(lam))]
     summary: dict = {
         "n": args.n,
-        "p": float(args.p),
+        "p": args.p,
         "corrected": corrected,
         "min_eigenvalue": float(np.min(np.real(lam))),
         "max_eigenvalue": float(np.max(np.real(lam))),
@@ -278,26 +237,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     }
     if args.n <= DENSE_DIAGNOSTIC_LIMIT and C.is_spd():
         diag = preconditioned_spectrum_diagnostic(T, C)
-        _write_spectrum_csv(os.path.join(args.out_dir, "preconditioned_spectrum.csv"), diag.eigenvalues)
-        outputs.append("preconditioned_spectrum.csv")
+        outputs.append(_write(args.out_dir, "preconditioned_spectrum.csv", _spectrum_csv(diag.eigenvalues)))
         summary["cluster_fractions"] = {format(r, "g"): v for r, v in diag.cluster_fractions.items()}
     else:
         summary["cluster_fractions"] = None
-    _write_manifest(
-        args.out_dir,
-        "spectrum",
-        [],
-        {
-            "alpha": float(args.alpha),
-            "beta": float(args.beta),
-            "gamma": float(args.gamma),
-            "n": args.n,
-            "p": float(args.p),
-            "correction": args.correction,
-        },
-        outputs,
-        None,
-    )
+    _write_manifest(args, [], outputs)
     _print_json(summary)
     return 0
 
@@ -347,9 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--out-dir", default="lportho-out")
     p_bench.add_argument("--workers", type=int, default=None, help="ignored: the grid runs serially")
-    p_bench.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_bench.add_argument("--correction", choices=["on", "off"], default=None, help="override the config correction switch")
-    p_bench.add_argument("--tol", type=float, default=None, help="override the config solver tolerance")
     p_bench.set_defaults(func=_cmd_precond_bench)
 
     p_spec = sub.add_parser("spectrum", help="circulant and preconditioned spectra for one (n, p)")
@@ -371,7 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._serialize import format_float, format_rows, read_numbers
-from .banach_geometry import DiscreteFunction, angle
+from .banach_geometry import DiscreteFunction, _positive, angle
 
 __all__ = [
     "InconsistentDecomposition",
@@ -259,9 +259,9 @@ def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyRep
     source; otherwise reports per-part energies, the conservation gap, the
     conserved flag |gap| <= tol * E1(source), any unwanted oscillations,
     and the two spectra they come from. One batched FFT serves all of it.
+    tol must be a finite number > 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _positive("tol", tol)
     _verify_reconstruction(d)
     shat, part_mags, summed = _spectral_magnitudes(d)
     total = float(np.sum(shat))
@@ -272,7 +272,7 @@ def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyRep
         component_energies=part_energies,
         conservation_gap=gap,
         conserved=abs(gap) <= tol * total if total > 0 else gap == 0.0,
-        tol=float(tol),
+        tol=tol,
         unwanted_frequencies=tuple(_unwanted(shat, summed)),
         signal_abs=shat,
         components_abs_sum=summed,
@@ -363,8 +363,8 @@ def fif_decompose(
     formed once with N in-place passes. A stage that hits the cap is
     recorded in meta and logged as a warning on the "lportho" logger, not
     raised. The stabilized iterate is extracted as a component, the rest
-    moves on, and the final remainder is the trend. max_inner must be an
-    integral value >= 1.
+    moves on, and the final remainder is the trend. delta must be a finite
+    number > 0 and max_inner an integral value >= 1.
 
     Because every stage scales each frequency by a factor in [0, 1] and the
     factors telescope to a partition of unity, the output conserves the L1
@@ -381,8 +381,7 @@ def fif_decompose(
         raise ValueError("halfwidths must be strictly increasing")
     if any(h >= s.n / 2 for h in hws):
         raise ValueError(f"halfwidths must be < n/2 = {s.n / 2}")
-    if not (delta > 0):
-        raise ValueError("delta must be positive")
+    delta = _positive("delta", delta)
     if int(max_inner) != max_inner:
         raise ValueError("max_inner must be an integer")
     max_inner = int(max_inner)
@@ -413,7 +412,7 @@ def fif_decompose(
     trend = Signal(np.fft.ifft(rhat).real)
     meta = {
         "halfwidths": hws,
-        "delta": float(delta),
+        "delta": delta,
         "max_inner": max_inner,
         "inner_iterations": inner_counts,
         "achieved_delta": achieved,

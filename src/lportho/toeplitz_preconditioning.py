@@ -14,7 +14,7 @@ a banded Cholesky factorization with a low-rank correction for the
 wrapped corners. Other real columns are applied by a folded power-of-two
 convolution. The solver is a standard preconditioned conjugate gradient
 with explicit failure reporting for singular or indefinite
-preconditioners.
+preconditioners and indefinite operators.
 
 The quartic model family f(theta) = alpha + beta(2-2cos) + gamma(2-2cos)^2
 gets dedicated support: pentadiagonal coefficients, a closed-form spectrum
@@ -30,6 +30,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
+
+from .banach_geometry import PExponent, _positive
 
 __all__ = [
     "PreconditionerSingular",
@@ -85,7 +87,7 @@ class NoAdmissibleExponent(RuntimeError):
 
 
 class UncorrectableSpectrum(ValueError):
-    """Spectral correction impossible: no eigenvalue exceeds the threshold."""
+    """Spectral correction impossible: no eigenvalue is positive."""
 
 
 @dataclass(frozen=True)
@@ -225,12 +227,11 @@ class CirculantMatrix:
     def num_negative_eigenvalues(self) -> int:
         return int(np.sum(np.real(self.eigenvalues) < 0.0))
 
-    def is_spd(self, rtol: float = 1e-12) -> bool:
+    def is_spd(self) -> bool:
+        """Spectrum real to 1e-12 of max |lambda| and strictly positive."""
         lam = self.eigenvalues
         scale = float(np.max(np.abs(lam))) or 1.0
-        if float(np.max(np.abs(np.imag(lam)))) > rtol * scale:
-            return False
-        return bool(np.min(np.real(lam)) > 0.0)
+        return float(np.max(np.abs(np.imag(lam)))) <= 1e-12 * scale and bool(np.min(np.real(lam)) > 0.0)
 
     def to_dense(self) -> np.ndarray:
         idx = np.subtract.outer(np.arange(self.n), np.arange(self.n)) % self.n
@@ -238,9 +239,11 @@ class CirculantMatrix:
 
 
 def lp_matrix_norm(X: np.ndarray, p: float) -> float:
-    """Entrywise p-norm (sum of |entries|^p)^(1/p); p = 2 is Frobenius."""
-    if p < 1:
-        raise ValueError(f"entrywise norms need p >= 1, got {p}")
+    """Entrywise p-norm (sum of |entries|^p)^(1/p); p = 2 is Frobenius.
+
+    p must be a finite number >= 1 (ValueError otherwise), as for PExponent.
+    """
+    p = PExponent(p).p
     X = np.asarray(X)
     return float(np.sum(np.abs(X) ** p) ** (1.0 / p))
 
@@ -253,10 +256,10 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
     (n-k)|t_k - c|^p + k|t_(k-n) - c|^p. For p > 1 the optimum is the
     weighted power mean with weights count^(1/(p-1)); computed in ratio form
     so the exponent never overflows as p approaches 1. For p = 1 the entry
-    with the larger count wins outright, ties keeping t_k.
+    with the larger count wins outright, ties keeping t_k. p must be a
+    finite number >= 1 (ValueError otherwise), as for PExponent.
     """
-    if p < 1:
-        raise ValueError(f"minimizer defined for p >= 1, got {p}")
+    p = PExponent(p).p
     n = T.n
     k = np.arange(n)
     d = T.diagonals
@@ -279,7 +282,7 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
         with np.errstate(divide="ignore"):
             w = np.where(small > 0, (small / big) ** (1.0 / (p - 1.0)), 0.0)
         col = (val_major + val_minor * w) / (1.0 + w)
-    return CirculantMatrix(n, col, float(p), T.symbol)
+    return CirculantMatrix(n, col, p, T.symbol)
 
 
 def circulant_spectrum(C: CirculantMatrix) -> np.ndarray:
@@ -311,27 +314,26 @@ def model_spectrum_closed_form(C: CirculantMatrix) -> np.ndarray:
     return f_vals + 2.0 * (c1 - psi) * np.cos(theta) + 2.0 * (c2 - gamma) * np.cos(2.0 * theta)
 
 
-def strang_type_correction(C: CirculantMatrix, threshold: float = 0.0) -> CirculantMatrix:
+def strang_type_correction(C: CirculantMatrix) -> CirculantMatrix:
     """Rebuild a circulant with its nonpositive eigenvalues replaced.
 
-    Eigenvalues at or below the threshold become their absolute value when
-    that clears the threshold, otherwise the smallest eigenvalue above it.
-    The result is positive definite; if nothing clears the threshold the
-    spectrum is uncorrectable.
+    A negative eigenvalue becomes its absolute value and a zero one the
+    smallest positive eigenvalue. The result is positive definite; with no
+    positive eigenvalue the spectrum is uncorrectable.
     """
     lam = C.eigenvalues
     scale = float(np.max(np.abs(lam))) or 1.0
     if float(np.max(np.abs(np.imag(lam)))) > 1e-10 * scale:
         raise ValueError("spectral correction needs a real spectrum")
     lam = np.real(lam).copy()
-    good = lam > threshold
+    good = lam > 0.0
     if not np.any(good):
-        raise UncorrectableSpectrum("every eigenvalue is at or below the threshold")
+        raise UncorrectableSpectrum("no eigenvalue is positive")
     if np.all(good):
         return C
     floor = float(np.min(lam[good]))
     bad = ~good
-    replacement = np.where(np.abs(lam[bad]) > threshold, np.abs(lam[bad]), floor)
+    replacement = np.where(np.abs(lam[bad]) > 0.0, np.abs(lam[bad]), floor)
     lam[bad] = replacement
     # invert lambda = n * ifft(c)
     col = np.fft.fft(lam) / C.n
@@ -549,6 +551,7 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_SINGULAR = "preconditioner_singular"
 STATUS_INDEFINITE = "preconditioner_indefinite"
+STATUS_OPERATOR_INDEFINITE = "operator_indefinite"
 
 
 @dataclass(frozen=True)
@@ -593,9 +596,15 @@ def pcg_solve(
     solve as in circulant_solve: half-spectrum division at 7-smooth n; at
     other n a banded Cholesky apply for a banded SPD M, a folded
     power-of-two convolution otherwise. The report's apply_path names it.
-    A singular M is reported as preconditioner_singular without iterating;
-    a nonpositive preconditioned inner product r.z reports
-    preconditioner_indefinite at the iteration where it appears.
+
+    Failure rule: an argument that is malformed in itself (T not real
+    symmetric, b of the wrong shape or not finite, tol not a finite
+    number > 0, maxit < 0, M of another dimension or complex) raises
+    ValueError before any work. Anything the solve finds out about T or M
+    is a status, with no solution: a singular M is preconditioner_singular
+    without iterating; a nonpositive preconditioned inner product r.z is
+    preconditioner_indefinite, and a nonpositive curvature d.Td is
+    operator_indefinite, each with iterations = the completed ones.
     """
     if not T.is_symmetric:
         raise ValueError("conjugate gradient requires a real symmetric operator")
@@ -604,8 +613,7 @@ def pcg_solve(
         raise ValueError(f"right-hand side must have shape ({T.n},), got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    tol = _positive("tol", tol)
     if maxit is None:
         maxit = 10 * T.n
     elif maxit < 0:
@@ -649,7 +657,7 @@ def pcg_solve(
         q = toeplitz_matvec(T, d)
         dq = float(d @ q)
         if not dq > 0.0:
-            raise ArithmeticError("conjugate gradient breakdown: operator is not positive definite")
+            return report(it - 1, STATUS_OPERATOR_INDEFINITE, None)
         alpha = rho / dq
         x += alpha * d
         r -= alpha * q
@@ -666,50 +674,23 @@ def pcg_solve(
     return report(maxit, STATUS_MAX_ITERATIONS, x)
 
 
-def select_p_tilde(
-    T: ToeplitzOperator,
-    p_grid: Sequence[float],
-    eps: float = 1e-6,
-    exact: bool = False,
-) -> float:
-    """Smallest exponent on the grid giving an admissible preconditioner.
+def select_p_tilde(T: ToeplitzOperator, p_grid: Sequence[float]) -> float:
+    """Smallest exponent on the strictly ascending grid whose minimizer is SPD.
 
-    Default mode accepts p when the minimizer's circulant spectrum is
-    strictly positive (which forces a real positive preconditioned
-    spectrum). Exact mode, restricted to n <= 256, instead inspects the
-    preconditioned spectrum itself: eigenvalues of C^(-1/2) T C^(-1/2) when
-    C is SPD, otherwise a dense eigensolve of C^(-1) T, accepting p when
-    every eigenvalue has |imag| < eps and positive real part.
+    C.is_spd() is the only admissibility test, and for the operators PCG
+    accepts it is also the test on the preconditioned spectrum: when T is
+    symmetric positive definite, C^(-1) T is similar to
+    T^(1/2) C^(-1) T^(1/2), which by Sylvester's law of inertia has the
+    inertia of C^(-1), that is of C. So C^(-1) T has a real positive
+    spectrum exactly when C is SPD.
     """
     grid = [float(p) for p in p_grid]
     if not grid:
         raise ValueError("exponent grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("exponent grid must be strictly ascending")
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
-    if exact and T.n > DENSE_DIAGNOSTIC_LIMIT:
-        raise ValueError(f"exact mode is dense; restricted to n <= {DENSE_DIAGNOSTIC_LIMIT}")
-
     for p in grid:
-        C = lp_circulant_minimizer(T, p)
-        lam = C.eigenvalues
-        scale = float(np.max(np.abs(lam))) or 1.0
-        near_real = float(np.max(np.abs(np.imag(lam)))) <= 1e-12 * scale
-        if not exact:
-            if near_real and float(np.min(np.real(lam))) > 0.0:
-                return p
-            continue
-        # exact mode: look at the preconditioned spectrum itself
-        try:
-            _check_nonsingular(lam)
-        except PreconditionerSingular:
-            continue
-        if near_real and float(np.min(np.real(lam))) > 0.0:
-            evals = preconditioned_spectrum_diagnostic(T, C).eigenvalues.astype(complex)
-        else:
-            evals = np.linalg.eigvals(np.linalg.solve(C.to_dense(), T.to_dense()))
-        if float(np.max(np.abs(evals.imag))) < eps and float(np.min(evals.real)) > 0.0:
+        if lp_circulant_minimizer(T, p).is_spd():
             return p
     raise NoAdmissibleExponent(f"no exponent in {grid} yields an admissible preconditioner")
 
@@ -784,8 +765,9 @@ class BenchmarkConfig:
             raise ValueError(f"correction must be 'on' or 'off', got {self.correction!r}")
         if self.rhs not in ("ones", "random"):
             raise ValueError(f"rhs must be 'ones' or 'random', got {self.rhs!r}")
-        for key in ("alpha", "beta", "gamma", "tol"):
+        for key in ("alpha", "beta", "gamma"):
             object.__setattr__(self, key, _number(key, getattr(self, key)))
+        object.__setattr__(self, "tol", _positive("tol", self.tol))
         for key, kind in (("n_list", int), ("p_list", float)):
             entries = getattr(self, key)
             if not isinstance(entries, (list, tuple, np.ndarray)):
@@ -800,8 +782,6 @@ class BenchmarkConfig:
             raise ValueError(f"n_list entries must be distinct, got {list(self.n_list)}")
         if not self.p_list or min(self.p_list) < 1:
             raise ValueError("p_list entries must be >= 1")
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
         if self.maxit is not None and self.maxit < 0:
             raise ValueError(f"maxit must be >= 0, got {self.maxit}")
 
@@ -855,7 +835,7 @@ def _bench_cell(
     C = lp_circulant_minimizer(T, p)
     if config.correction == "on" and not C.is_spd():
         try:
-            C = strang_type_correction(C, 0.0)
+            C = strang_type_correction(C)
         except UncorrectableSpectrum:
             pass  # run with the raw circulant; failure shows in the report
     report = pcg_solve(T, b, C, config.tol, config.maxit)

@@ -199,6 +199,12 @@ class TestIsOrthogonal:
         with pytest.raises(ValueError):
             is_orthogonal([1], [1], 1, 0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, True])
+    def test_non_finite_tol_rejected(self, tol):
+        # an infinite tol used to call any pair orthogonal
+        with pytest.raises(ValueError, match="tol"):
+            is_orthogonal([1.0, 2.0], [3.0, -1.0], 1, tol)
+
     def test_consistent_with_angle(self):
         rng = np.random.default_rng(17)
         tol = 1e-10

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lportho._serialize import format_float
-from lportho.cli import _write_spectrum_csv, main
+from lportho.cli import _spectrum_csv, main
 from lportho.signal_decomposition import Signal, l1_fourier_energy, write_signal_csv
 
 
@@ -273,37 +273,46 @@ class TestPrecondBench:
         assert not out_dir.exists()
 
     def test_correction_override(self, tmp_path, capsys):
-        cfg = self.write_config(
-            tmp_path,
-            {"alpha": 0, "beta": 2, "gamma": 8, "n_list": [100], "p_list": [1.0]},
-        )
+        doc = {"alpha": 0, "beta": 2, "gamma": 8, "n_list": [100], "p_list": [1.0]}
         out_raw = tmp_path / "raw"
-        run_cli(capsys, ["precond-bench", "--config", cfg, "--out-dir", str(out_raw)])
+        run_cli(capsys, ["precond-bench", "--config", self.write_config(tmp_path, doc), "--out-dir", str(out_raw)])
         raw_cell = (out_raw / "table.csv").read_text().splitlines()[1].split(",")[1]
         assert raw_cell == "#"
         out_fixed = tmp_path / "fixed"
-        run_cli(
-            capsys,
-            ["precond-bench", "--config", cfg, "--out-dir", str(out_fixed), "--correction", "on"],
-        )
+        cfg = self.write_config(tmp_path, {**doc, "correction": "on"})
+        run_cli(capsys, ["precond-bench", "--config", cfg, "--out-dir", str(out_fixed)])
         fixed_cell = (out_fixed / "table.csv").read_text().splitlines()[1].split(",")[1]
         assert fixed_cell != "#"
         assert int(fixed_cell) > 0
 
     def test_tol_override_changes_counts(self, tmp_path, capsys):
-        cfg = self.write_config(
-            tmp_path,
-            {"alpha": 1, "beta": 2, "gamma": 3, "n_list": [100], "p_list": [10.0]},
-        )
+        doc = {"alpha": 1, "beta": 2, "gamma": 3, "n_list": [100], "p_list": [10.0]}
         counts = {}
         for tol, d in ((None, "tight"), (1e-4, "loose")):
             out_dir = tmp_path / d
-            argv = ["precond-bench", "--config", cfg, "--out-dir", str(out_dir)]
-            if tol is not None:
-                argv += ["--tol", str(tol)]
-            run_cli(capsys, argv)
+            cfg = self.write_config(tmp_path, doc if tol is None else {**doc, "tol": tol})
+            run_cli(capsys, ["precond-bench", "--config", cfg, "--out-dir", str(out_dir)])
             counts[d] = int((out_dir / "table.csv").read_text().splitlines()[1].split(",")[1])
         assert counts["loose"] < counts["tight"]
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--correction", "on"], ["--tol", "1e-4"]])
+    def test_config_keys_are_not_flags(self, tmp_path, capsys, flag):
+        # seed, correction and tol are set in the config file only
+        cfg = self.write_config(tmp_path, {"alpha": 1, "beta": 2, "gamma": 3, "n_list": [8], "p_list": [2]})
+        out_dir = tmp_path / "bench"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["precond-bench", "--config", cfg, "--out-dir", str(out_dir), *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_indefinite_operator_renders_failed_cells(self, tmp_path, capsys):
+        # alpha = -1 makes every T indefinite: each cell fails with a status
+        cfg = self.write_config(tmp_path, {"alpha": -1, "beta": 2, "gamma": 3, "n_list": [16, 100], "p_list": [1, 2]})
+        out_dir = tmp_path / "bench"
+        code, _, err = run_cli(capsys, ["precond-bench", "--config", cfg, "--out-dir", str(out_dir)])
+        assert (code, err) == (0, "")
+        assert (out_dir / "table.csv").read_text() == "n,p=1,p=2,n. p.\n16,#,#,#\n100,#,#,#\n"
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"alpha": 1, "beta": 2})
@@ -329,13 +338,11 @@ class TestSpectrum:
         rng = np.random.default_rng(5)
         edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16, 1e17, 1.7976931348623157e308, 3.0]
         lam = np.concatenate([rng.standard_normal(9), edges]) + 1j * np.concatenate([edges, rng.standard_normal(9)])
-        _write_spectrum_csv(str(tmp_path / "c.csv"), lam)
         rows = [f"{j},{format_float(v.real)},{format_float(v.imag)}" for j, v in enumerate(lam)]
-        assert (tmp_path / "c.csv").read_text() == "j,lambda_re,lambda_im\n" + "".join(r + "\n" for r in rows)
+        assert _spectrum_csv(lam) == "j,lambda_re,lambda_im\n" + "".join(r + "\n" for r in rows)
         lam = lam.real
-        _write_spectrum_csv(str(tmp_path / "r.csv"), lam + 1e-15j)
         rows = [f"{j},{format_float(v)}" for j, v in enumerate(lam)]
-        assert (tmp_path / "r.csv").read_text() == "j,lambda\n" + "".join(r + "\n" for r in rows)
+        assert _spectrum_csv(lam + 1e-15j) == "j,lambda\n" + "".join(r + "\n" for r in rows)
 
     def test_diagnostic_summary(self, tmp_path, capsys):
         out_dir = tmp_path / "spec"
@@ -382,6 +389,65 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["cluster_fractions"] is None
         assert not (out_dir / "preconditioned_spectrum.csv").exists()
+
+
+NON_FINITE_ARGV = {
+    "decompose --tol nan": ["decompose", "{signal}", "--halfwidths", "3", "--tol", "nan", "--out-dir", "{out}"],
+    "decompose --delta inf": ["decompose", "{signal}", "--halfwidths", "3", "--delta", "inf", "--out-dir", "{out}"],
+    "spectrum --p inf": ["spectrum", "--alpha", "0", "--beta", "2", "--gamma", "8", "--n", "32", "--p", "inf", "--out-dir", "{out}"],
+    "angle --tol inf": ["angle", "{f}", "{g}", "--tol", "inf"],
+    "ortho --tol nan": ["ortho", "{f}", "{g}", "--tol", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV.values(), ids=NON_FINITE_ARGV.keys())
+def test_non_finite_value_is_an_error(tmp_path, capsys, signal_file, argv):
+    # rejected before any output: no directory, nothing on stdout
+    out_dir = tmp_path / "out"
+    paths = {
+        "signal": signal_file[0],
+        "f": write_vector(tmp_path / "f.csv", [1.0, 2.0]),
+        "g": write_vector(tmp_path / "g.csv", [3.0, -1.0]),
+        "out": str(out_dir),
+    }
+    code, out, err = run_cli(capsys, [a.format(**paths) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert not out_dir.exists()
+
+
+def test_manifest_parameters_are_the_parsed_flags(tmp_path, capsys, signal_file):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"alpha": 1, "beta": 2, "gamma": 3, "n_list": [16], "p_list": [2]}))
+    decomposition = str(tmp_path / "decompose" / "decomposition.json")
+    runs = {  # in order: audit reads what decompose wrote
+        "decompose": (
+            ["decompose", signal_file[0], "--halfwidths", "2, 5", "--delta", "0.01"],
+            [signal_file[0]],
+            {"halfwidths": [2, 5], "delta": 0.01, "max_inner": 200, "tol": 1e-10},
+        ),
+        "audit": (["audit", decomposition, "--tol", "1e-8"], [decomposition], {"tol": 1e-8}),
+        "precond-bench": (
+            ["precond-bench", "--config", str(config), "--workers", "1"],
+            [str(config)],
+            {
+                "alpha": 1.0, "beta": 2.0, "gamma": 3.0, "n_list": [16], "p_list": [2.0],
+                "tol": 1e-9, "maxit": None, "correction": "off", "rhs": "ones", "seed": None,
+            },
+        ),
+        "spectrum": (
+            ["spectrum", "--alpha", "0", "--beta", "2", "--gamma", "8", "--n", "32", "--p", "1.6"],
+            [],
+            {"alpha": 0.0, "beta": 2.0, "gamma": 8.0, "n": 32, "p": 1.6, "correction": "off"},
+        ),
+    }
+    for command, (argv, inputs, parameters) in runs.items():
+        out_dir = tmp_path / command
+        assert main(argv + ["--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert (manifest["command"], manifest["inputs"], manifest["out_dir"]) == (command, inputs, str(out_dir))
+        assert list(manifest["parameters"].items()) == list(parameters.items())
+    capsys.readouterr()
 
 
 class TestTopLevel:

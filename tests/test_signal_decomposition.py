@@ -221,6 +221,12 @@ class TestEnergyConservation:
             report.total_energy + report.conservation_gap, rel=1e-12
         )
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        d = fif_decompose(random_signal(np.random.default_rng(6), 32), [3])
+        with pytest.raises(ValueError, match="tol"):
+            check_energy_conservation(d, tol)
+
     def test_inconsistent_source_raises(self):
         s = Signal(np.ones(4))
         wrong = Signal(np.full(4, 2.0))
@@ -327,6 +333,11 @@ class TestFifDecompose:
             fif_decompose(s, [2], max_inner=0)
         with pytest.raises(ValueError):
             fif_decompose(s, [2], max_inner=2.5)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            fif_decompose(random_signal(np.random.default_rng(7), 32), [3], delta=delta)
 
     def test_reconstruction_and_conservation_invariants(self):
         rng = np.random.default_rng(8)

@@ -166,6 +166,12 @@ class TestLpMatrixNorm:
         with pytest.raises(ValueError):
             lp_matrix_norm(np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        # p = inf used to return 1.0 for [[1, 2], [3, 4]]
+        with pytest.raises(ValueError):
+            lp_matrix_norm([[1.0, 2.0], [3.0, 4.0]], p)
+
 
 class TestLpCirculantMinimizer:
     def test_frobenius_model_n5(self):
@@ -248,6 +254,13 @@ class TestLpCirculantMinimizer:
         T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 8)
         with pytest.raises(ValueError):
             lp_circulant_minimizer(T, 0.99)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        # p = nan used to give a NaN column
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 8)
+        with pytest.raises(ValueError):
+            lp_circulant_minimizer(T, p)
 
     @pytest.mark.parametrize("p", [1.0, 1.6, 3.0])
     @pytest.mark.parametrize(
@@ -598,7 +611,7 @@ class TestBandedCirculant:
     def test_corrected_column_takes_folded_kernel(self):
         n = 97
         T = build_toeplitz(BANDED_SYMBOLS["stiff"], n)
-        C = strang_type_correction(lp_circulant_minimizer(T, 1.4), 0.0)
+        C = strang_type_correction(lp_circulant_minimizer(T, 1.4))
         assert np.count_nonzero(C.first_column) > 2 * 8 + 1  # dense: no longer banded
         assert apply_path(C, n) == "folded_kernel"
         r = np.random.default_rng(5).standard_normal(n)
@@ -693,6 +706,23 @@ class TestPcgSolve:
         assert report.status == "preconditioner_indefinite"
         assert report.solution is None
 
+    def test_indefinite_operator_status(self):
+        # A nonpositive curvature d.Td is a status, not an exception.
+        report = pcg_solve(ToeplitzOperator(4, {0: -1.0}), np.ones(4))
+        assert (report.status, report.iterations, report.relative_residuals) == ("operator_indefinite", 0, (1.0,))
+        assert report.solution is None and report.true_relative_residual is None
+        # symbol 0.5 + 2 cos(theta): two iterations complete before d.Td <= 0
+        report = pcg_solve(ToeplitzOperator(8, {0: 0.5, 1: 1.0, -1: 1.0}), np.ones(8))
+        assert (report.status, report.iterations, len(report.relative_residuals)) == ("operator_indefinite", 2, 3)
+        assert report.solution is None
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+    def test_rejects_non_finite_tol(self, tol):
+        # tol = inf used to report converged at x = 0
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 6)
+        with pytest.raises(ValueError, match="tol"):
+            pcg_solve(T, np.ones(6), tol=tol)
+
     def test_rejects_non_symmetric_operator(self):
         T = ToeplitzOperator(6, {0: 2.0, 1: 1.0, -1: 3.0})
         with pytest.raises(ValueError):
@@ -755,10 +785,33 @@ class TestSelectPTilde:
         T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 100)
         assert select_p_tilde(T, self.GRID) == 1.6
 
-    def test_exact_mode_agrees_here(self):
-        for params, want in [((1, 2, 3), 1.0), ((0, 2, 8), 1.6)]:
-            T = build_toeplitz(ToeplitzSymbol.from_model(*params), 128)
-            assert select_p_tilde(T, self.GRID, exact=True) == want
+    @pytest.mark.parametrize("case, want", [("gentle", 1.0), ("stiff", 1.6), ("random_prime", 1.6)])
+    def test_selection_matches_sylvester_oracle(self, case, want):
+        # For SPD T, C^(-1) T has a real positive spectrum exactly when C is
+        # SPD (Sylvester's law of inertia). The oracle takes the dense
+        # eigenvalues of C^(-1) T: positive at the selected p, not at the
+        # grid's previous p.
+        if case == "random_prime":
+            # |g(theta)|^2 for integer taps g summing to zero: an SPD banded
+            # symbol that vanishes at theta = 0, at the prime n = 127
+            taps = np.random.default_rng(3).integers(-4, 5, size=4)
+            taps[-1] -= taps.sum()
+            t = np.correlate(taps, taps, "full")[taps.size - 1 :]
+            T = ToeplitzOperator(127, {s * k: float(v) for k, v in enumerate(t) for s in (1, -1)})
+        else:
+            T = build_toeplitz(ToeplitzSymbol.from_model(*{"gentle": (1, 2, 3), "stiff": (0, 2, 8)}[case]), 128)
+        assert np.linalg.eigvalsh(T.to_dense()).min() > 0
+
+        def spectrum(p):
+            return np.linalg.eigvals(np.linalg.solve(lp_circulant_minimizer(T, p).to_dense(), T.to_dense()))
+
+        p = select_p_tilde(T, self.GRID)
+        assert p == want
+        lam = spectrum(p)
+        assert np.all(lam.real > 0) and np.max(np.abs(lam.imag)) <= 1e-8 * np.max(np.abs(lam))
+        i = self.GRID.index(p)
+        if i:
+            assert np.min(spectrum(self.GRID[i - 1]).real) <= 0
 
     def test_no_admissible_exponent(self):
         T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 100)
@@ -771,11 +824,6 @@ class TestSelectPTilde:
             select_p_tilde(T, [])
         with pytest.raises(ValueError):
             select_p_tilde(T, [2.0, 1.5])
-
-    def test_exact_mode_dense_limit(self):
-        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), DENSE_DIAGNOSTIC_LIMIT + 1)
-        with pytest.raises(ValueError):
-            select_p_tilde(T, self.GRID, exact=True)
 
 
 class TestSpectrumDiagnostic:
