@@ -2,7 +2,9 @@
 
 A sampled signal lives on the grid t_j = j/(2B) with n = 2B samples, so the
 integer frequencies 0..n-1 make the forward transform an ordinary DFT. The
-L1 Fourier energy of a signal is the l1 norm of that transform. The module
+L1 Fourier energy of a signal is the l1 norm of that transform. Samples are
+real, so the energy audit and the decomposer work on the n//2+1 bins of the
+rfft, each weighted by how often it occurs among the n bins. The module
 verifies whether a decomposition s = sum(components) + trend conserves this
 energy, locates frequencies where component spectra over-count the signal
 (unwanted oscillations), and provides a spectral iterative-filtering
@@ -135,9 +137,32 @@ def idft(spec: Spectrum) -> Signal:
     return Signal(x.real)
 
 
+def _hermitian_weights(bins: int) -> np.ndarray:
+    """How often each of the n//2+1 rfft bins of a real signal of even
+    length n occurs among its n DFT bins: once at DC and Nyquist, twice
+    elsewhere (bin k stands for k and n-k by conjugate symmetry)."""
+    w = np.full(bins, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
+def _l1_energy(half_mags: np.ndarray) -> float:
+    """E1 from the rfft magnitudes of a real signal of even length."""
+    return float(np.sum(_hermitian_weights(half_mags.size) * half_mags))
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """Values at the n//2+1 rfft bins extended to all n bins: bin n-k gets bin k's."""
+    return np.concatenate([half, half[-2:0:-1]])
+
+
 def l1_fourier_energy(s: Signal) -> float:
-    """E1(s): the l1 norm of the DFT coefficient magnitudes."""
-    return float(np.sum(np.abs(np.fft.fft(s.samples))))
+    """E1(s): the l1 norm of the DFT coefficient magnitudes.
+
+    Summed over the n//2+1 rfft bins with Hermitian weights (1 at DC and
+    Nyquist, 2 elsewhere), which is the sum over all n bins.
+    """
+    return _l1_energy(np.abs(np.fft.rfft(s.samples)))
 
 
 @dataclass(frozen=True)
@@ -218,20 +243,24 @@ def _verify_reconstruction(d: Decomposition) -> None:
         )
 
 
-def _spectral_magnitudes(d: Decomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|s_hat|, |phi_k_hat| for each part (one row each), and their sum over the parts.
+def _spectral_magnitudes(d: Decomposition) -> tuple[np.ndarray, list[float], np.ndarray]:
+    """|s_hat| at all n bins, the L1 energies of the source and of each part
+    (source first), and sum_k |phi_k_hat| over the parts at all n bins.
 
-    One batched FFT over the source and the parts. Each row equals the 1-d
-    FFT of its signal and the parts are summed in order, so every figure
-    derived from these is the one per-signal transforms give, bit for bit.
+    One batched rfft over the source and the parts gives their n//2+1 bins;
+    each row equals the 1-d rfft of its signal, so an energy here is the one
+    l1_fourier_energy gives, bit for bit. The two spectra are unfolded to n
+    bins by conjugate symmetry, |x_hat(n-k)| = |x_hat(k)|.
     """
-    mags = np.abs(np.fft.fft(np.stack([d.source.samples] + [p.samples for p in d.parts])))
-    mags.setflags(write=False)
+    mags = np.abs(np.fft.rfft(np.stack([d.source.samples] + [p.samples for p in d.parts])))
+    energies = [_l1_energy(row) for row in mags]
     summed = np.zeros_like(mags[0])
     for row in mags[1:]:
         summed += row
+    shat, summed = _unfold(mags[0]), _unfold(summed)
+    shat.setflags(write=False)
     summed.setflags(write=False)
-    return mags[0], mags[1:], summed
+    return shat, energies, summed
 
 
 def _unwanted(shat: np.ndarray, summed: np.ndarray) -> list[tuple[int, float]]:
@@ -258,14 +287,15 @@ def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyRep
     Raises InconsistentDecomposition when the parts do not sum back to the
     source; otherwise reports per-part energies, the conservation gap, the
     conserved flag |gap| <= tol * E1(source), any unwanted oscillations,
-    and the two spectra they come from. One batched FFT serves all of it.
+    and the two spectra they come from. One batched rfft serves all of it:
+    each energy sums its n//2+1 bins with Hermitian weights, as
+    l1_fourier_energy does, and the spectra are reported at all n bins.
     tol must be a finite number > 0.
     """
     tol = _positive("tol", tol)
     _verify_reconstruction(d)
-    shat, part_mags, summed = _spectral_magnitudes(d)
-    total = float(np.sum(shat))
-    part_energies = tuple(float(np.sum(row)) for row in part_mags)
+    shat, energies, summed = _spectral_magnitudes(d)
+    total, part_energies = energies[0], tuple(energies[1:])
     gap = float(sum(part_energies) - total)
     return EnergyReport(
         total_energy=total,
@@ -280,7 +310,7 @@ def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyRep
 
 
 def _moving_average_transfer(n: int, halfwidth: int) -> np.ndarray:
-    """DFT of the symmetric moving-average filter of the given halfwidth.
+    """Transfer of the symmetric moving-average filter at the n//2+1 rfft bins.
 
     The filter puts weight 1/(2L+1) on offsets -L..L; its transfer is the
     real Dirichlet-type kernel (1 + 2 sum_{j<=L} cos(2 pi jk/n))/(2L+1).
@@ -290,7 +320,7 @@ def _moving_average_transfer(n: int, halfwidth: int) -> np.ndarray:
     kernel = np.zeros(n)
     kernel[: halfwidth + 1] = 1.0
     kernel[n - halfwidth:] = 1.0
-    return np.fft.fft(kernel).real / (2 * halfwidth + 1)
+    return np.fft.rfft(kernel).real / (2 * halfwidth + 1)
 
 
 def _filter_stage(
@@ -298,21 +328,23 @@ def _filter_stage(
 ) -> tuple[np.ndarray, int, float]:
     """A stage's iterate damp^N rhat, its pass count N and the ratio at pass N.
 
-    Pass N compares damp^N r against damp^(N-1) r, so its relative l2 change
-    is ratio(N) = sqrt(sum(tau^2 g) / sum(g)) with weights
-    g = damp^(2N-2) |r|^2: a weighted mean of tau^2 whose weights shift
-    toward small tau as N grows, hence nonincreasing in N. N is the first
-    pass <= max_inner with ratio(N) <= delta, else max_inner, found by
-    bisection. |r| is scaled by an exact power of two to a maximum in
-    [1/2, 1) and the weights are held as logarithms shifted by their
-    maximum, so the largest weight is 1 and neither N nor the ratio
-    depends on the signal's amplitude. A pass at which every weight is 0
-    (an all-zero remainder, say) has ratio 0.
+    rhat, tau and damp hold the n//2+1 rfft bins of a real signal. Pass N
+    compares damp^N r against damp^(N-1) r, so its relative l2 change over
+    all n bins is ratio(N) = sqrt(sum(tau^2 g) / sum(g)) with weights
+    g = w damp^(2N-2) |r|^2, w the Hermitian weights: a weighted mean of
+    tau^2 whose weights shift toward small tau as N grows, hence
+    nonincreasing in N. N is the first pass <= max_inner with
+    ratio(N) <= delta, else max_inner, found by bisection. |r| is scaled by
+    an exact power of two to a maximum in [1/2, 1) and the weights are held
+    as logarithms shifted by their maximum, so the largest weight is 1 and
+    neither N nor the ratio depends on the signal's amplitude. A pass at
+    which every weight is 0 (an all-zero remainder, say) has ratio 0. The
+    iterate is formed in closed form, rhat * damp**N.
     """
     mag = np.abs(rhat)
     mag = np.ldexp(mag, -np.frexp(np.max(mag))[1])
     with np.errstate(divide="ignore"):
-        log_w = 2.0 * np.log(mag)
+        log_w = 2.0 * np.log(mag) + np.log(_hermitian_weights(mag.size))
         log_d2 = 2.0 * np.log(damp)
     tau2 = tau * tau
 
@@ -335,10 +367,7 @@ def _filter_stage(
                 n_used, ach = mid, r
             else:
                 lo = mid + 1
-    m = rhat.copy()
-    for _ in range(n_used):
-        np.multiply(damp, m, out=m)
-    return m, n_used, ach
+    return rhat * damp**n_used, n_used, ach
 
 
 def fif_decompose(
@@ -349,22 +378,24 @@ def fif_decompose(
 ) -> Decomposition:
     """Split a signal by iterated spectral filtering, one stage per halfwidth.
 
-    Each stage builds a moving-average filter, squares its transfer (the
+    The work runs on the n//2+1 rfft bins of the real signal. Each stage
+    builds a moving-average filter, squares its transfer (the
     double-convolution step, giving factors tau in [0, 1]), and repeatedly
     applies the high-pass complement to the running remainder: the inner
     iterate after N passes is (1 - tau)^N * remainder_hat. N is the first
-    pass whose relative l2 change ||m_N - m_(N-1)|| / ||m_(N-1)|| drops to
-    delta, capped at max_inner. The iterate is a closed form in N, and so
-    is that ratio: a weighted mean over frequencies, evaluated on weights
-    normalised by a power of two and shifted by their maximum, so it does
-    not depend on the signal's amplitude: scaling s by 2^k leaves meta
-    unchanged and scales every part by 2^k. N is found by bisection
-    on that ratio, achieved_delta is the ratio at N, and the iterate is
-    formed once with N in-place passes. A stage that hits the cap is
-    recorded in meta and logged as a warning on the "lportho" logger, not
-    raised. The stabilized iterate is extracted as a component, the rest
-    moves on, and the final remainder is the trend. delta must be a finite
-    number > 0 and max_inner an integral value >= 1.
+    pass whose relative l2 change ||m_N - m_(N-1)|| / ||m_(N-1)|| over all
+    n bins drops to delta, capped at max_inner. The iterate is a closed
+    form in N, and so is that ratio: a mean over the rfft bins with
+    Hermitian weights (1 at DC and Nyquist, 2 elsewhere), evaluated on
+    weights normalised by a power of two and shifted by their maximum, so
+    it does not depend on the signal's amplitude: scaling s by 2^k leaves meta unchanged and scales every part
+    by 2^k. N is found by bisection on that ratio, achieved_delta is the
+    ratio at N, and the iterate is formed as remainder_hat * (1 - tau)**N.
+    A stage that hits the cap is recorded in meta and logged as a warning
+    on the "lportho" logger, not raised. The stabilized iterate is
+    extracted as a component by irfft, the rest moves on, and the final
+    remainder is the trend. delta must be a finite number > 0 and
+    max_inner an integral value >= 1.
 
     Because every stage scales each frequency by a factor in [0, 1] and the
     factors telescope to a partition of unity, the output conserves the L1
@@ -388,7 +419,7 @@ def fif_decompose(
     if max_inner < 1:
         raise ValueError("max_inner must be >= 1")
 
-    rhat = np.fft.fft(s.samples)
+    rhat = np.fft.rfft(s.samples)
     components: list[Signal] = []
     inner_counts: list[int] = []
     achieved: list[float] = []
@@ -404,12 +435,12 @@ def fif_decompose(
                 hw, max_inner, ach, delta,
             )
         rhat = rhat - phihat
-        components.append(Signal(np.fft.ifft(phihat).real))
+        components.append(Signal(np.fft.irfft(phihat, s.n)))
         inner_counts.append(n_used)
         achieved.append(ach)
         converged.append(ach <= delta)
 
-    trend = Signal(np.fft.ifft(rhat).real)
+    trend = Signal(np.fft.irfft(rhat, s.n))
     meta = {
         "halfwidths": hws,
         "delta": delta,
@@ -497,6 +528,8 @@ def decomposition_from_dict(doc: dict) -> Decomposition:
     The source is taken to be the part sum, which is what an external
     audit can verify; meta is carried through untouched.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"decomposition JSON must be a JSON object, got {type(doc).__name__}")
     if "components" not in doc or "trend" not in doc:
         raise ValueError("decomposition JSON needs 'components' and 'trend'")
     return Decomposition.from_parts(

@@ -787,6 +787,8 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"benchmark config must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown benchmark config keys: {sorted(unknown)}")

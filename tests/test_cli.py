@@ -124,9 +124,18 @@ class TestDecompose:
         summed = np.zeros(s.n)
         for part in doc["components"] + [doc["trend"]]:
             summed += np.abs(np.fft.fft(part))
-        rows = [f"{k},{format_float(a)},{format_float(b)}\n" for k, (a, b) in enumerate(zip(shat, summed))]
-        expected = "xi,signal_abs,components_abs_sum\n" + "".join(rows)
-        assert (out_dir / "spectrum_comparison.csv").read_bytes() == expected.encode("utf-8")
+        text = (out_dir / "spectrum_comparison.csv").read_text()
+        header, *lines = text.splitlines()
+        assert header == "xi,signal_abs,components_abs_sum" and text.endswith("\n")
+        xi, signal_abs, components_abs_sum = zip(*(line.split(",") for line in lines))
+        assert xi == tuple(str(k) for k in range(s.n))
+        # the oracle's per-signal complex FFTs round differently from the
+        # audit's rfft: FFT rounding grows like log2 n
+        bound = np.finfo(float).eps * math.log2(s.n)
+        for column, want in ((signal_abs, shat), (components_abs_sum, summed)):
+            got = np.array(column, dtype=float)
+            assert [format_float(v) for v in got] == list(column)
+            assert np.max(np.abs(got - want)) <= bound * want.max()
 
     def test_deterministic_outputs(self, tmp_path, capsys, signal_file):
         path, _ = signal_file
@@ -413,6 +422,19 @@ def test_non_finite_value_is_an_error(tmp_path, capsys, signal_file, argv):
     code, out, err = run_cli(capsys, [a.format(**paths) for a in argv])
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", ["5", "null", '"x"', "[1, 2]"])
+@pytest.mark.parametrize("command", ["audit", "precond-bench"])
+def test_non_object_json_is_an_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    inputs = [str(path)] if command == "audit" else ["--config", str(path)]
+    code, out, err = run_cli(capsys, [command, *inputs, "--out-dir", str(out_dir)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must be a JSON object, got " in err
     assert not out_dir.exists()
 
 

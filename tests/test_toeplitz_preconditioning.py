@@ -865,6 +865,10 @@ BAD_CONFIG_VALUES = [
 BAD_CONFIG_IDS = [f"{key}={value!r}" for key, value in BAD_CONFIG_VALUES]
 
 
+# top-level JSON values other than an object, and the type each parses to
+NON_OBJECT_JSON = [(5, "int"), (None, "NoneType"), ("x", "str"), ([1, 2], "list")]
+
+
 class TestBenchmark:
     def test_config_round_trip(self):
         cfg = BenchmarkConfig(1, 2, 3, (100,), (1.0, 2.0), seed=7)
@@ -880,6 +884,11 @@ class TestBenchmark:
     def test_config_rejects_missing_keys(self):
         with pytest.raises(ValueError, match="missing"):
             BenchmarkConfig.from_dict({"alpha": 1, "beta": 2, "gamma": 3, "n_list": [4]})
+
+    @pytest.mark.parametrize("doc, kind", NON_OBJECT_JSON, ids=[kind for _, kind in NON_OBJECT_JSON])
+    def test_config_rejects_non_object(self, doc, kind):
+        with pytest.raises(ValueError, match=f"must be a JSON object, got {kind}$"):
+            BenchmarkConfig.from_dict(doc)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
