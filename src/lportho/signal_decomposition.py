@@ -526,17 +526,34 @@ def decomposition_from_dict(doc: dict) -> Decomposition:
     """Rebuild a decomposition from its JSON form.
 
     The source is taken to be the part sum, which is what an external
-    audit can verify; meta is carried through untouched.
+    audit can verify; meta is carried through untouched. A field of the
+    wrong JSON type is a ValueError naming it: components must be a list
+    of number lists, trend a number list and meta, when present, an object.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"decomposition JSON must be a JSON object, got {type(doc).__name__}")
     if "components" not in doc or "trend" not in doc:
         raise ValueError("decomposition JSON needs 'components' and 'trend'")
+    components, meta = doc["components"], doc.get("meta", {})
+    if not isinstance(components, (list, tuple)):
+        raise ValueError(f"decomposition JSON 'components' must be a list of number lists, got {components!r:.40}")
+    if not isinstance(meta, dict):
+        raise ValueError(f"decomposition JSON 'meta' must be an object, got {meta!r:.40}")
     return Decomposition.from_parts(
-        [np.asarray(c, dtype=float) for c in doc["components"]],
-        np.asarray(doc["trend"], dtype=float),
-        doc.get("meta") or {},
+        [_number_list("components", c) for c in components], _number_list("trend", doc["trend"]), meta
     )
+
+
+def _number_list(key: str, x: object) -> np.ndarray:
+    """x as a 1-d float array; ValueError naming key unless it is a list of numbers."""
+    try:
+        arr = np.asarray(x) if isinstance(x, (list, tuple, np.ndarray)) else None
+    except ValueError:  # lists nested to uneven depths
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        what = "a list of number lists" if key == "components" else "a number list"
+        raise ValueError(f"decomposition JSON '{key}' must be {what}, got {x!r:.40}")
+    return arr.astype(float, copy=False)
 
 
 def energy_report_to_dict(r: EnergyReport) -> dict:

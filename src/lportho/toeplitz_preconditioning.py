@@ -4,10 +4,12 @@ A banded symmetric Toeplitz matrix generated by a trigonometric polynomial
 is approximated by the circulant that minimizes the entrywise p-norm of the
 difference. The minimizer has a per-diagonal closed form (a weighted power
 mean of the two Toeplitz offsets each circulant diagonal touches), so
-constructing it costs O(n). Matrix-vector products are an O(n x stored
-diagonals) stencil. A circulant keeps one spectrum, its eigenvalues. When
-n is 7-smooth (no prime factor above 7) a real circulant is inverted by
-half-spectrum division with real FFTs. At any other n a banded column (a
+constructing it costs O(n). A Toeplitz operator keeps its diagonals as
+one dense kernel over offsets -w..w, w its widest stored offset, and a
+matrix-vector product is one convolution with it, in O(n(2w+1)). A
+circulant keeps one spectrum, its eigenvalues. When n is 7-smooth (no
+prime factor above 7) a real circulant is inverted by half-spectrum
+division with real FFTs. At any other n a banded column (a
 minimizer of a banded operator) takes no slow (Bluestein) FFT of length n:
 its spectrum is the cosine sum, in O(n w), and when SPD it is inverted by
 a banded Cholesky factorization with a low-rank correction for the
@@ -139,18 +141,30 @@ class ToeplitzOperator:
     """Symmetric-storage Toeplitz matrix given by its diagonal coefficients.
 
     Matrix entries are A[i, j] = diagonals[i - j]; missing offsets are zero.
-    Matvecs are an O(n x stored diagonals) stencil.
+    Construction stores the diagonals once more as a read-only dense kernel
+    h[w + k] = t_k over offsets -w..w, w the widest stored offset, of dtype
+    result_type(float64, *values); toeplitz_matvec convolves with it. A
+    matvec costs O(n(2w+1)) whatever the band holds, so one far offset
+    (up to n - 1) makes every product O(n^2); the operators this package
+    builds have w <= 2.
     """
 
     n: int
     diagonals: Mapping[int, float]
     symbol: Optional[ToeplitzSymbol] = None
+    _kernel: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         diags = {int(k): v for k, v in self.diagonals.items() if abs(int(k)) < self.n}
+        w = max(map(abs, diags), default=0)
+        kernel = np.zeros(2 * w + 1, dtype=np.result_type(np.float64, *diags.values()))
+        for k, v in diags.items():
+            kernel[w + k] = v
+        kernel.setflags(write=False)
         object.__setattr__(self, "diagonals", diags)
+        object.__setattr__(self, "_kernel", kernel)
 
     @property
     def is_real(self) -> bool:
@@ -343,22 +357,17 @@ def strang_type_correction(C: CirculantMatrix) -> CirculantMatrix:
 
 
 def toeplitz_matvec(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
-    """Product T @ x as an O(n x stored diagonals) stencil; complex if T or x is."""
+    """Product T @ x; complex if T or x is.
+
+    One full linear convolution of x with T's kernel over offsets -w..w,
+    of which entries w..w+n-1 are the product: (T x)_i = sum_k t_k x_(i-k).
+    It costs O(n(2w+1)), w being T's widest stored offset.
+    """
     x = np.asarray(x)
     if x.shape != (T.n,):
         raise ValueError(f"operand must have shape ({T.n},), got {x.shape}")
-    return _stencil(T, x)
-
-
-def _stencil(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
-    n = T.n
-    y = np.zeros(n, dtype=np.result_type(x, np.float64, *T.diagonals.values()))
-    for k, t in T.diagonals.items():
-        if k >= 0:
-            y[k:] += t * x[: n - k]
-        else:
-            y[: n + k] += t * x[-k:]
-    return y
+    w = T._kernel.size // 2
+    return np.convolve(x, T._kernel)[w : w + T.n]
 
 
 def _check_nonsingular(lam: np.ndarray) -> None:
@@ -567,7 +576,10 @@ class SolveReport:
     residual, and it is None when there is no solution. apply_path names
     how M^(-1) was applied: "half_spectrum", "banded_cholesky" or
     "folded_kernel" (see _real_inverse); None when unpreconditioned or when
-    no apply was built (b = 0, singular M).
+    no apply was built (b = 0, singular M). matvecs counts products with T,
+    the exit one included, and applies counts applies of M^(-1) (0 when
+    unpreconditioned): a solve that returns a solution after k iterations
+    made k + 1 matvecs, and k applies if it converged, k + 1 otherwise.
     """
 
     iterations: int
@@ -577,6 +589,8 @@ class SolveReport:
     solution: Optional[np.ndarray] = None
     true_relative_residual: Optional[float] = None
     apply_path: Optional[str] = None
+    matvecs: int = 0
+    applies: int = 0
 
 
 def pcg_solve(
@@ -592,10 +606,12 @@ def pcg_solve(
     (residuals tracked recursively) or after maxit iterations, default 10n;
     the true residual of the returned solution is reported beside it. M must
     match T's dimension and have a real first column (ValueError otherwise).
-    Each iteration makes one matvec and one apply of M^(-1), built once per
-    solve as in circulant_solve: half-spectrum division at 7-smooth n; at
-    other n a banded Cholesky apply for a banded SPD M, a folded
-    power-of-two convolution otherwise. The report's apply_path names it.
+    Each iteration makes one matvec (toeplitz_matvec, one convolution with
+    T's kernel) and one apply of M^(-1), built once per solve as in
+    circulant_solve: half-spectrum division at 7-smooth n; at other n a
+    banded Cholesky apply for a banded SPD M, a folded power-of-two
+    convolution otherwise. The report's apply_path names it, and its
+    matvecs and applies count both.
 
     Failure rule: an argument that is malformed in itself (T not real
     symmetric, b of the wrong shape or not finite, tol not a finite
@@ -640,21 +656,31 @@ def pcg_solve(
     x = np.zeros(T.n)
     r = b.copy()
     residuals = [1.0]
+    matvecs = applies = 0
 
     def report(iterations: int, status: str, solution: Optional[np.ndarray]) -> SolveReport:
-        true_res = None if solution is None else float(np.linalg.norm(b - _stencil(T, solution))) / bnorm
-        return SolveReport(iterations, tuple(residuals), status, p_used, solution, true_res, apply_path)
+        nonlocal matvecs
+        true_res = None
+        if solution is not None:
+            true_res = float(np.linalg.norm(b - toeplitz_matvec(T, solution))) / bnorm
+            matvecs += 1
+        applied = applies if M is not None else 0  # the unpreconditioned "apply" is a copy
+        return SolveReport(
+            iterations, tuple(residuals), status, p_used, solution, true_res, apply_path, matvecs, applied
+        )
 
     if residuals[-1] <= tol:
         return report(0, STATUS_CONVERGED, x)
 
     z = precondition(r)
+    applies += 1
     rho = float(r @ z)
     if rho <= 0.0:
         return report(0, STATUS_INDEFINITE, None)
     d = z
     for it in range(1, maxit + 1):
         q = toeplitz_matvec(T, d)
+        matvecs += 1
         dq = float(d @ q)
         if not dq > 0.0:
             return report(it - 1, STATUS_OPERATOR_INDEFINITE, None)
@@ -665,6 +691,7 @@ def pcg_solve(
         if residuals[-1] <= tol:
             return report(it, STATUS_CONVERGED, x)
         z = precondition(r)
+        applies += 1
         rho_next = float(r @ z)
         if rho_next <= 0.0:
             return report(it, STATUS_INDEFINITE, None)

@@ -438,6 +438,23 @@ def test_non_object_json_is_an_error(tmp_path, capsys, command, text):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"components": 5, "trend": [1, 2]}, "components"),
+        ({"components": [[1, 2]], "trend": [1, 2], "meta": 5}, "meta"),
+    ],
+)
+def test_decomposition_field_of_wrong_json_type_is_an_error(tmp_path, capsys, doc, field):
+    path = tmp_path / "decomposition.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, ["audit", str(path), "--out-dir", str(out_dir)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: decomposition JSON '{field}' must be ")
+    assert not out_dir.exists()
+
+
 def test_manifest_parameters_are_the_parsed_flags(tmp_path, capsys, signal_file):
     config = tmp_path / "bench.json"
     config.write_text(json.dumps({"alpha": 1, "beta": 2, "gamma": 3, "n_list": [16], "p_list": [2]}))

@@ -671,6 +671,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"must be a JSON object, got {kind}$"):
             decomposition_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"components": 5, "trend": [1, 2]}, "components"),
+            ({"components": [5], "trend": [1, 2]}, "components"),
+            ({"components": [[1, "a"]], "trend": [1, 2]}, "components"),
+            ({"components": [[[1], 2]], "trend": [1, 2]}, "components"),
+            ({"components": [[True, False]], "trend": [1, 2]}, "components"),
+            ({"components": {"a": [1, 2]}, "trend": [1, 2]}, "components"),
+            ({"components": [[1, 2]], "trend": None}, "trend"),
+            ({"components": [[1, 2]], "trend": [[1, 2]]}, "trend"),
+            ({"components": [[1, 2]], "trend": [1, 2], "meta": 5}, "meta"),
+            ({"components": [[1, 2]], "trend": [1, 2], "meta": [[1, 2]]}, "meta"),
+            ({"components": [[1, 2]], "trend": [1, 2], "meta": None}, "meta"),
+        ],
+    )
+    def test_field_of_wrong_json_type_rejected(self, doc, field):
+        with pytest.raises(ValueError, match=f"^decomposition JSON '{field}' must be "):
+            decomposition_from_dict(doc)
+
     def test_energy_report_dict_fields(self):
         rng = np.random.default_rng(14)
         d = fif_decompose(random_signal(rng, 32), [4])

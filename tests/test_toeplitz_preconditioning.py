@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
+import lportho.toeplitz_preconditioning as tp
 from lportho._serialize import dumps_json
 from lportho.toeplitz_preconditioning import (
     DEFAULT_PCG_TOL,
@@ -448,6 +452,45 @@ class TestToeplitzMatvec:
         got = toeplitz_matvec(ToeplitzOperator(n, diagonals), x)
         np.testing.assert_allclose(got, dense_from_diagonals(n, diagonals) @ x, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [131071, 2**17])
+    @pytest.mark.parametrize("kind", ["stiff", "random"])
+    def test_large_n_matches_sparse_diags(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "stiff":
+            T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), n)
+        else:
+            T = ToeplitzOperator(n, {k: float(rng.standard_normal()) for k in range(-2, 3)})
+        A = scipy.sparse.diags(list(T.diagonals.values()), [-k for k in T.diagonals], shape=(n, n))
+        x = rng.standard_normal(n)
+        np.testing.assert_allclose(toeplitz_matvec(T, x), A @ x, rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 8, 17])
+    def test_corner_offsets_match_dense(self, n):
+        # only the corners A[n-1, 0] = t_(n-1) and A[0, n-1] = t_(1-n) off
+        # the main diagonal: the widest band an operator of size n can have
+        rng = np.random.default_rng(n)
+        t0, t_low, t_high = rng.standard_normal(3)
+        A = np.diag(np.full(n, t0))
+        A[n - 1, 0], A[0, n - 1] = t_low, t_high
+        T = ToeplitzOperator(n, {0: t0, n - 1: t_low, 1 - n: t_high})
+        x = rng.standard_normal(n)
+        np.testing.assert_allclose(toeplitz_matvec(T, x), A @ x, rtol=1e-14, atol=1e-15)
+
+    def test_same_bytes_with_one_and_two_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tp.__file__)))
+        code = (
+            "import hashlib, numpy as np; from lportho import *; "
+            "T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 2**17); "
+            "x = np.random.default_rng(3).standard_normal(2**17); "
+            "print(hashlib.sha256(toeplitz_matvec(T, x).tobytes()).hexdigest())"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+
 
 class TestCirculantSolve:
     def test_identity(self):
@@ -765,6 +808,33 @@ class TestPcgSolve:
             want = np.linalg.norm(b - T.to_dense() @ report.solution) / np.linalg.norm(b)
             assert report.true_relative_residual == pytest.approx(want, rel=1e-6, abs=1e-13)
         assert report.status == "converged" and report.true_relative_residual < 1e-8
+
+    @pytest.mark.parametrize("p", [None, 1.0])
+    @pytest.mark.parametrize("maxit", [None, 0, 2])
+    def test_counts_matvecs_and_applies(self, monkeypatch, p, maxit):
+        # a returned solution after k iterations took k + 1 matvecs, the exit
+        # one included, and k applies if converged, k + 1 otherwise
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 64)
+        M = lp_circulant_minimizer(T, p) if p is not None else None
+        calls = []
+        matvec = tp.toeplitz_matvec
+        monkeypatch.setattr(tp, "toeplitz_matvec", lambda T, x: calls.append(x.size) or matvec(T, x))
+        report = pcg_solve(T, np.ones(64), M, maxit=maxit)
+        k = report.iterations
+        assert report.status == ("converged" if maxit is None else "max_iterations")
+        assert report.matvecs == k + 1 == len(calls)
+        if M is None:
+            assert report.applies == 0
+        else:
+            assert report.applies == (k if report.status == "converged" else k + 1)
+
+    def test_counts_without_work(self):
+        T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 100)
+        for M in (None, lp_circulant_minimizer(T, 1.6)):
+            report = pcg_solve(T, np.zeros(100), M)
+            assert (report.iterations, report.matvecs, report.applies) == (0, 0, 0)
+        report = pcg_solve(T, np.ones(100), lp_circulant_minimizer(T, 1.0))  # singular
+        assert (report.status, report.matvecs, report.applies) == ("preconditioner_singular", 0, 0)
 
     def test_true_residual_absent_without_solution(self):
         T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 100)
