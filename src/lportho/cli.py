@@ -193,12 +193,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _spectrum_csv(eigenvalues: np.ndarray) -> str:
-    lam = np.asarray(eigenvalues)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    index = range(lam.size)
-    if np.iscomplexobj(lam) and float(np.max(np.abs(lam.imag))) > 1e-12 * max(scale, 1.0):
-        return "j,lambda_re,lambda_im\n" + format_rows("%d,%.17g,%.17g\n", index, lam.real.tolist(), lam.imag.tolist())
-    return "j,lambda\n" + format_rows("%d,%.17g\n", index, np.real(lam).tolist())
+    lam = np.asarray(eigenvalues).tolist()
+    return "j,lambda\n" + format_rows("%d,%.17g\n", range(len(lam)), lam)
 
 
 def _cmd_precond_bench(args: argparse.Namespace) -> int:
@@ -231,8 +227,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "n": args.n,
         "p": args.p,
         "corrected": corrected,
-        "min_eigenvalue": float(np.min(np.real(lam))),
-        "max_eigenvalue": float(np.max(np.real(lam))),
+        "min_eigenvalue": float(np.min(lam)),
+        "max_eigenvalue": float(np.max(lam)),
         "negative_eigenvalue_count": C.num_negative_eigenvalues,
     }
     if args.n <= DENSE_DIAGNOSTIC_LIMIT and C.is_spd():

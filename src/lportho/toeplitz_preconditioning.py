@@ -1,22 +1,24 @@
 """Entrywise-lp-optimal circulant preconditioning of Toeplitz systems.
 
-A banded symmetric Toeplitz matrix generated by a trigonometric polynomial
-is approximated by the circulant that minimizes the entrywise p-norm of the
-difference. The minimizer has a per-diagonal closed form (a weighted power
-mean of the two Toeplitz offsets each circulant diagonal touches), so
-constructing it costs O(n). A Toeplitz operator keeps its diagonals as
-one dense kernel over offsets -w..w, w its widest stored offset, and a
-matrix-vector product is one convolution with it, in O(n(2w+1)). A
-circulant keeps one spectrum, its eigenvalues. When n is 7-smooth (no
-prime factor above 7) a real circulant is inverted by half-spectrum
-division with real FFTs. At any other n a banded column (a
+A banded real symmetric Toeplitz matrix generated by a trigonometric
+polynomial is approximated by the circulant that minimizes the entrywise
+p-norm of the difference. The minimizer has a per-diagonal closed form (a
+weighted power mean of the two Toeplitz offsets each circulant diagonal
+touches), so constructing it costs O(n). A Toeplitz operator keeps its
+diagonals as one dense kernel over offsets -w..w, w its widest stored
+offset, and a matrix-vector product is one convolution with it, in
+O(n(2w+1)). A circulant keeps one real spectrum, its eigenvalues. When n
+is 7-smooth (no prime factor above 7) a circulant is inverted by
+half-spectrum division with real FFTs. At any other n a banded column (a
 minimizer of a banded operator) takes no slow (Bluestein) FFT of length n:
 its spectrum is the cosine sum, in O(n w), and when SPD it is inverted by
 a banded Cholesky factorization with a low-rank correction for the
-wrapped corners. Other real columns are applied by a folded power-of-two
+wrapped corners. Other columns are applied by a folded power-of-two
 convolution. The solver is a standard preconditioned conjugate gradient
 with explicit failure reporting for singular or indefinite
-preconditioners and indefinite operators.
+preconditioners and indefinite operators. Symbols, operators and
+circulants hold real symmetric data only, the one kind it solves with;
+each checks its data once, at construction, and raises ValueError.
 
 The quartic model family f(theta) = alpha + beta(2-2cos) + gamma(2-2cos)^2
 gets dedicated support: pentadiagonal coefficients, a closed-form spectrum
@@ -92,12 +94,31 @@ class UncorrectableSpectrum(ValueError):
     """Spectral correction impossible: no eigenvalue is positive."""
 
 
+def _number(key: str, x: object, kind: type = float) -> float:
+    """x as kind, float or int; ValueError naming key unless x is a finite
+    real number (a bool is not), of integral value when kind is int."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x) or (kind is int and x != int(x)):
+        raise ValueError(f"{key} must be a finite {kind.__name__}, got {x!r}")
+    return kind(x)
+
+
+def _symmetric_diagonals(diagonals: Mapping[int, float]) -> dict[int, float]:
+    """{offset: value} as floats; ValueError naming the offset unless each
+    value is a finite real number and t_k == t_(-k) for every stored k."""
+    diags = {int(k): _number(f"diagonal at offset {k}", v) for k, v in diagonals.items()}
+    for k, v in diags.items():
+        if diags.get(-k, 0.0) != v:
+            raise ValueError(f"diagonal at offset {k} is {v!r} but at offset {-k} {diags.get(-k, 0.0)!r}: not symmetric")
+    return diags
+
+
 @dataclass(frozen=True)
 class ToeplitzSymbol:
     """Generating function of a family of Toeplitz matrices.
 
-    Stored as its Fourier coefficients {offset k: value}. The quartic model
-    family alpha + beta(2-2cos theta) + gamma(2-2cos theta)^2 is banded with
+    Stored as its Fourier coefficients {offset k: value}, finite, real and
+    symmetric (t_k = t_(-k)); ValueError otherwise. The quartic model family
+    alpha + beta(2-2cos theta) + gamma(2-2cos theta)^2 is banded with
     t_0 = alpha + 2 beta + 6 gamma, t_(+-1) = -beta - 4 gamma, t_(+-2) = gamma.
     """
 
@@ -105,13 +126,7 @@ class ToeplitzSymbol:
     model_params: Optional[tuple[float, float, float]] = None
 
     def __post_init__(self) -> None:
-        coeffs = {int(k): complex(v) for k, v in self.coefficients.items()}
-        clean: dict[int, float | complex] = {}
-        for k, v in coeffs.items():
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"coefficient at offset {k} is not finite")
-            clean[k] = v.real if v.imag == 0.0 else v
-        object.__setattr__(self, "coefficients", clean)
+        object.__setattr__(self, "coefficients", _symmetric_diagonals(self.coefficients))
 
     @classmethod
     def from_model(cls, alpha: float, beta: float, gamma: float) -> "ToeplitzSymbol":
@@ -120,33 +135,19 @@ class ToeplitzSymbol:
         coeffs = {0: phi, 1: psi, -1: psi, 2: gamma, -2: gamma}
         return cls(coeffs, (float(alpha), float(beta), float(gamma)))
 
-    @property
-    def is_hermitian(self) -> bool:
-        c = self.coefficients
-        return all(k == 0 or (-k in c and c[-k] == np.conj(c[k])) for k in c)
-
-    def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        """Pointwise values f(theta) = sum_k t_k exp(i k theta)."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape, dtype=complex)
-        for k, v in self.coefficients.items():
-            out += v * np.exp(1j * k * theta)
-        if self.is_hermitian:
-            return out.real
-        return out
-
 
 @dataclass(frozen=True)
 class ToeplitzOperator:
-    """Symmetric-storage Toeplitz matrix given by its diagonal coefficients.
+    """Real symmetric Toeplitz matrix given by its diagonal coefficients.
 
     Matrix entries are A[i, j] = diagonals[i - j]; missing offsets are zero.
-    Construction stores the diagonals once more as a read-only dense kernel
-    h[w + k] = t_k over offsets -w..w, w the widest stored offset, of dtype
-    result_type(float64, *values); toeplitz_matvec convolves with it. A
-    matvec costs O(n(2w+1)) whatever the band holds, so one far offset
-    (up to n - 1) makes every product O(n^2); the operators this package
-    builds have w <= 2.
+    The diagonals must be finite real numbers with t_k = t_(-k) (ValueError
+    naming the offset otherwise); offsets with |k| >= n are dropped.
+    Construction stores them once more as a read-only float64 kernel
+    h[w + k] = t_k over offsets -w..w, w the widest stored offset;
+    toeplitz_matvec convolves with it. A matvec costs O(n(2w+1)) whatever
+    the band holds, so one far offset (up to n - 1) makes every product
+    O(n^2); the operators this package builds have w <= 2.
     """
 
     n: int
@@ -157,27 +158,18 @@ class ToeplitzOperator:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        diags = {int(k): v for k, v in self.diagonals.items() if abs(int(k)) < self.n}
+        diags = {k: v for k, v in _symmetric_diagonals(self.diagonals).items() if abs(k) < self.n}
         w = max(map(abs, diags), default=0)
-        kernel = np.zeros(2 * w + 1, dtype=np.result_type(np.float64, *diags.values()))
+        kernel = np.zeros(2 * w + 1)
         for k, v in diags.items():
             kernel[w + k] = v
         kernel.setflags(write=False)
         object.__setattr__(self, "diagonals", diags)
         object.__setattr__(self, "_kernel", kernel)
 
-    @property
-    def is_real(self) -> bool:
-        return all(np.imag(v) == 0 for v in self.diagonals.values())
-
-    @property
-    def is_symmetric(self) -> bool:
-        d = self.diagonals
-        return self.is_real and all(d.get(k, 0) == d.get(-k, 0) for k in d)
-
     def to_dense(self) -> np.ndarray:
         idx = np.subtract.outer(np.arange(self.n), np.arange(self.n))
-        out = np.zeros((self.n, self.n), dtype=float if self.is_real else complex)
+        out = np.zeros((self.n, self.n))
         for k, v in self.diagonals.items():
             out[idx == k] = v
         return out
@@ -192,17 +184,18 @@ def build_toeplitz(symbol: ToeplitzSymbol, n: int) -> ToeplitzOperator:
 
 @dataclass(frozen=True)
 class CirculantMatrix:
-    """Circulant matrix stored by first column, eigenvalues cached.
+    """Real symmetric circulant matrix stored by first column, eigenvalues cached.
 
-    Eigenvalues follow the convention lambda = sqrt(n) F* c (the unnormalized
-    inverse DFT of the first column); a symmetric real first column gives a
-    real spectrum. It is the only spectrum kept: solves take their Fourier
-    multipliers from it. At a 7-smooth n it is n * ifft(c). At any other n a
-    banded column (see _band_halfwidth) evaluates the cosine sum
-    lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n) in O(n w) instead of
-    an FFT of length n; the two agree to a few ulps of max |lambda|. p
-    records the exponent used to build the matrix when it came from a
-    minimization, None otherwise.
+    The first column must be 1-d, real and symmetric, c_k == c_(n-k) exactly
+    (ValueError otherwise), so the spectrum is real. Eigenvalues follow the
+    convention lambda = sqrt(n) F* c (the unnormalized inverse DFT of the
+    first column). It is the only spectrum kept: solves take their Fourier
+    multipliers from it. At a 7-smooth n it is the real part of
+    n * ifft(c). At any other n a banded column (see _band_halfwidth)
+    evaluates the cosine sum lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n)
+    in O(n w) instead of an FFT of length n; the two agree to a few ulps of
+    max |lambda|. p records the exponent used to build the matrix when it
+    came from a minimization, None otherwise.
     """
 
     n: int
@@ -215,41 +208,34 @@ class CirculantMatrix:
         col = np.asarray(self.first_column)
         if col.ndim != 1 or col.size != self.n or self.n < 1:
             raise ValueError("first_column must be 1-d of length n >= 1")
-        col = col.astype(complex) if np.iscomplexobj(col) else col.astype(float)
+        if np.iscomplexobj(col):
+            raise ValueError("first_column must be real, got a complex array")
+        col = col.astype(float)
+        if not np.array_equal(col[1:], col[:0:-1]):
+            raise ValueError("first_column must be symmetric: c_k == c_(n-k) for every k")
         col.setflags(write=False)
         object.__setattr__(self, "first_column", col)
 
     @property
-    def has_symmetric_column(self) -> bool:
-        c = self.first_column
-        return bool(np.array_equal(c, np.roll(c[::-1], 1)))
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         if self._eig is None:
-            w = _band_halfwidth(self.first_column)
-            if w is not None:
-                lam = _banded_spectrum(self.first_column, w)
-            else:
-                lam = self.n * np.fft.ifft(self.first_column)
-                if not np.iscomplexobj(self.first_column) and self.has_symmetric_column:
-                    lam = lam.real
+            col = self.first_column
+            w = _band_halfwidth(col)
+            lam = (self.n * np.fft.ifft(col)).real if w is None else _banded_spectrum(col, w)
             object.__setattr__(self, "_eig", lam)
         return self._eig
 
     @property
     def num_negative_eigenvalues(self) -> int:
-        return int(np.sum(np.real(self.eigenvalues) < 0.0))
+        return int(np.sum(self.eigenvalues < 0.0))
 
     def is_spd(self) -> bool:
-        """Spectrum real to 1e-12 of max |lambda| and strictly positive."""
-        lam = self.eigenvalues
-        scale = float(np.max(np.abs(lam))) or 1.0
-        return float(np.max(np.abs(np.imag(lam)))) <= 1e-12 * scale and bool(np.min(np.real(lam)) > 0.0)
+        """Every eigenvalue strictly positive."""
+        return bool(np.min(self.eigenvalues) > 0.0)
 
     def to_dense(self) -> np.ndarray:
         idx = np.subtract.outer(np.arange(self.n), np.arange(self.n)) % self.n
-        return np.asarray(self.first_column)[idx]
+        return self.first_column[idx]
 
 
 def lp_matrix_norm(X: np.ndarray, p: float) -> float:
@@ -271,16 +257,16 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
     weighted power mean with weights count^(1/(p-1)); computed in ratio form
     so the exponent never overflows as p approaches 1. For p = 1 the entry
     with the larger count wins outright, ties keeping t_k. p must be a
-    finite number >= 1 (ValueError otherwise), as for PExponent.
+    finite number >= 1 (ValueError otherwise), as for PExponent. T is
+    symmetric, so classes k and n - k solve the same scalar problem with
+    the same operations, and the column is symmetric bit for bit.
     """
     p = PExponent(p).p
     n = T.n
     k = np.arange(n)
-    d = T.diagonals
-    complex_vals = any(np.iscomplexobj(np.asarray(v)) for v in d.values())
-    t_pos = np.zeros(n, dtype=complex if complex_vals else float)  # t_pos[k] = t_k
-    t_neg = np.zeros_like(t_pos)  # t_neg[k] = t_(k-n)
-    for j, v in d.items():  # stored offsets have |j| < n
+    t_pos = np.zeros(n)  # t_pos[k] = t_k
+    t_neg = np.zeros(n)  # t_neg[k] = t_(k-n)
+    for j, v in T.diagonals.items():  # stored offsets have |j| < n
         (t_pos if j >= 0 else t_neg)[j % n] = v
 
     count_pos = (n - k).astype(float)
@@ -322,8 +308,7 @@ def model_spectrum_closed_form(C: CirculantMatrix) -> np.ndarray:
     alpha, beta, gamma = C.symbol.model_params
     psi = -beta - 4.0 * gamma
     theta = 2.0 * np.pi * np.arange(C.n) / C.n
-    c1 = float(np.real(C.first_column[1]))
-    c2 = float(np.real(C.first_column[2]))
+    c1, c2 = float(C.first_column[1]), float(C.first_column[2])
     f_vals = alpha + beta * (2.0 - 2.0 * np.cos(theta)) + gamma * (2.0 - 2.0 * np.cos(theta)) ** 2
     return f_vals + 2.0 * (c1 - psi) * np.cos(theta) + 2.0 * (c2 - gamma) * np.cos(2.0 * theta)
 
@@ -333,13 +318,11 @@ def strang_type_correction(C: CirculantMatrix) -> CirculantMatrix:
 
     A negative eigenvalue becomes its absolute value and a zero one the
     smallest positive eigenvalue. The result is positive definite; with no
-    positive eigenvalue the spectrum is uncorrectable.
+    positive eigenvalue the spectrum is uncorrectable. The new column's
+    entries c_0..c_(n//2) come from the inverse of lambda = n * ifft(c) and
+    are mirrored into c_(n-k) = c_k, so it is symmetric by construction.
     """
-    lam = C.eigenvalues
-    scale = float(np.max(np.abs(lam))) or 1.0
-    if float(np.max(np.abs(np.imag(lam)))) > 1e-10 * scale:
-        raise ValueError("spectral correction needs a real spectrum")
-    lam = np.real(lam).copy()
+    lam = C.eigenvalues.copy()
     good = lam > 0.0
     if not np.any(good):
         raise UncorrectableSpectrum("no eigenvalue is positive")
@@ -349,15 +332,13 @@ def strang_type_correction(C: CirculantMatrix) -> CirculantMatrix:
     bad = ~good
     replacement = np.where(np.abs(lam[bad]) > 0.0, np.abs(lam[bad]), floor)
     lam[bad] = replacement
-    # invert lambda = n * ifft(c)
-    col = np.fft.fft(lam) / C.n
-    if not np.iscomplexobj(C.first_column):
-        col = col.real
-    return CirculantMatrix(C.n, col, C.p, C.symbol)
+    n = C.n
+    col = (np.fft.fft(lam)[: n // 2 + 1] / n).real
+    return CirculantMatrix(n, np.concatenate([col, col[1 : (n + 1) // 2][::-1]]), C.p, C.symbol)
 
 
 def toeplitz_matvec(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
-    """Product T @ x; complex if T or x is.
+    """Product T @ x.
 
     One full linear convolution of x with T's kernel over offsets -w..w,
     of which entries w..w+n-1 are the product: (T x)_i = sum_k t_k x_(i-k).
@@ -397,16 +378,16 @@ MAX_BAND_HALFWIDTH = 8
 def _band_halfwidth(col: np.ndarray) -> Optional[int]:
     """w when the banded paths apply to a circulant's first column, else None.
 
-    They apply when n is not 7-smooth and the column is real, symmetric
-    (c_k = c_(n-k)) and zero outside offsets -w..w, with
-    w <= MAX_BAND_HALFWIDTH and 4w < n. Every other column keeps the FFTs.
+    They apply when n is not 7-smooth and the (symmetric) column is zero
+    outside offsets -w..w, with w <= MAX_BAND_HALFWIDTH and 4w < n. Every
+    other column keeps the FFTs.
     """
     n = col.size
-    if np.iscomplexobj(col) or _is_7_smooth(n):
+    if _is_7_smooth(n):
         return None
     nonzero = np.flatnonzero(col[1 : MAX_BAND_HALFWIDTH + 1])
     w = int(nonzero[-1]) + 1 if nonzero.size else 0
-    if 4 * w >= n or np.any(col[w + 1 : n - w]) or not np.array_equal(col[1 : w + 1], col[: n - w - 1 : -1]):
+    if 4 * w >= n or np.any(col[w + 1 : n - w]):
         return None
     return w
 
@@ -500,9 +481,9 @@ APPLY_BANDED_CHOLESKY = "banded_cholesky"
 
 
 def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
-    """The map r -> C^(-1) r for a real first column and real r, with its path name.
+    """The map r -> C^(-1) r for real r, with its path name.
 
-    half = conj(eigenvalues[: n // 2 + 1]) is rfft of the first column.
+    half = eigenvalues[: n // 2 + 1] is rfft of the first column.
     half_spectrum: when n is 7-smooth (no prime factor above 7) an apply is
     irfft(rfft(r) / half). banded_cholesky: at any other n, a banded column
     (_band_halfwidth) with a positive spectrum and a positive definite band
@@ -516,7 +497,7 @@ def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.nd
     n = C.n
     lam = C.eigenvalues
     _check_nonsingular(lam)
-    half = np.conj(lam[: n // 2 + 1])
+    half = lam[: n // 2 + 1].copy()  # contiguous: a strided divisor slows every apply
     if _is_7_smooth(n):
         return APPLY_HALF_SPECTRUM, lambda r: np.fft.irfft(np.fft.rfft(r) / half, n)
     w = _band_halfwidth(C.first_column)
@@ -536,23 +517,21 @@ def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.nd
 
 
 def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
-    """Solve C z = r.
+    """Solve C z = r for a real r of shape (n,) (ValueError otherwise).
 
-    A real column and a real r take the paths of _real_inverse, built for
-    this one call: half-spectrum division with real FFTs when n is
-    7-smooth; otherwise a banded Cholesky factorization for a banded SPD
-    column, and a folded power-of-two convolution with the first column of
-    C^(-1) for any other. A complex column or r gives the complex
-    z = fft(ifft(r) / lambda). Raises PreconditionerSingular when the
-    smallest eigenvalue modulus does not exceed SINGULARITY_RTOL times the
-    largest (singular to machine precision).
+    Takes the paths of _real_inverse, built for this one call: half-spectrum
+    division with real FFTs when n is 7-smooth; otherwise a banded Cholesky
+    factorization for a banded SPD column, and a folded power-of-two
+    convolution with the first column of C^(-1) for any other. Raises
+    PreconditionerSingular when the smallest eigenvalue modulus does not
+    exceed SINGULARITY_RTOL times the largest (singular to machine
+    precision).
     """
     r = np.asarray(r)
     if r.shape != (C.n,):
         raise ValueError(f"operand must have shape ({C.n},), got {r.shape}")
-    if np.iscomplexobj(r) or np.iscomplexobj(C.first_column):
-        _check_nonsingular(C.eigenvalues)
-        return np.fft.fft(np.fft.ifft(r) / C.eigenvalues)
+    if np.iscomplexobj(r):
+        raise ValueError("operand must be real, got a complex array")
     return _real_inverse(C)[1](r)
 
 
@@ -579,7 +558,7 @@ class SolveReport:
     no apply was built (b = 0, singular M). matvecs counts products with T,
     the exit one included, and applies counts applies of M^(-1) (0 when
     unpreconditioned): a solve that returns a solution after k iterations
-    made k + 1 matvecs, and k applies if it converged, k + 1 otherwise.
+    made k + 1 matvecs and k applies.
     """
 
     iterations: int
@@ -604,26 +583,27 @@ def pcg_solve(
 
     Stops when the relative residual ||b - T x||_2 / ||b||_2 drops to tol
     (residuals tracked recursively) or after maxit iterations, default 10n;
-    the true residual of the returned solution is reported beside it. M must
-    match T's dimension and have a real first column (ValueError otherwise).
-    Each iteration makes one matvec (toeplitz_matvec, one convolution with
-    T's kernel) and one apply of M^(-1), built once per solve as in
-    circulant_solve: half-spectrum division at 7-smooth n; at other n a
-    banded Cholesky apply for a banded SPD M, a folded power-of-two
+    the true residual of the returned solution is reported beside it. T and
+    M are real symmetric by construction. Each iteration makes one apply of
+    M^(-1) and one matvec (toeplitz_matvec, one convolution with T's
+    kernel). The apply is built once per solve, before the first iteration,
+    as in circulant_solve: half-spectrum division at 7-smooth n; at other n
+    a banded Cholesky apply for a banded SPD M, a folded power-of-two
     convolution otherwise. The report's apply_path names it, and its
     matvecs and applies count both.
 
-    Failure rule: an argument that is malformed in itself (T not real
-    symmetric, b of the wrong shape or not finite, tol not a finite
-    number > 0, maxit < 0, M of another dimension or complex) raises
-    ValueError before any work. Anything the solve finds out about T or M
-    is a status, with no solution: a singular M is preconditioner_singular
-    without iterating; a nonpositive preconditioned inner product r.z is
-    preconditioner_indefinite, and a nonpositive curvature d.Td is
-    operator_indefinite, each with iterations = the completed ones.
+    Failure rule: an argument that is malformed in itself (b complex, of
+    the wrong shape or not finite, tol not a finite number > 0, maxit < 0,
+    M of another dimension) raises ValueError before any work; T and M
+    raised theirs when they were built. Anything the solve finds out about
+    T or M is a status, with no solution: a singular M is
+    preconditioner_singular without iterating; a nonpositive
+    preconditioned inner product r.z is preconditioner_indefinite, and a
+    nonpositive curvature d.Td is operator_indefinite, each with
+    iterations = the completed ones.
     """
-    if not T.is_symmetric:
-        raise ValueError("conjugate gradient requires a real symmetric operator")
+    if np.iscomplexobj(b):
+        raise ValueError("right-hand side must be real, got a complex array")
     b = np.asarray(b, dtype=float)
     if b.shape != (T.n,):
         raise ValueError(f"right-hand side must have shape ({T.n},), got {b.shape}")
@@ -634,11 +614,8 @@ def pcg_solve(
         maxit = 10 * T.n
     elif maxit < 0:
         raise ValueError(f"maxit must be >= 0, got {maxit}")
-    if M is not None:
-        if M.n != T.n:
-            raise ValueError(f"preconditioner dimension {M.n} differs from operator dimension {T.n}")
-        if np.iscomplexobj(M.first_column):
-            raise ValueError("preconditioner must have a real first column")
+    if M is not None and M.n != T.n:
+        raise ValueError(f"preconditioner dimension {M.n} differs from operator dimension {T.n}")
     p_used = M.p if M is not None else None
 
     bnorm = float(np.linalg.norm(b))
@@ -672,13 +649,15 @@ def pcg_solve(
     if residuals[-1] <= tol:
         return report(0, STATUS_CONVERGED, x)
 
-    z = precondition(r)
-    applies += 1
-    rho = float(r @ z)
-    if rho <= 0.0:
-        return report(0, STATUS_INDEFINITE, None)
-    d = z
     for it in range(1, maxit + 1):
+        z = precondition(r)
+        applies += 1
+        rho_next = float(r @ z)
+        if rho_next <= 0.0:
+            return report(it - 1, STATUS_INDEFINITE, None)
+        if it > 1:
+            z += (rho_next / rho) * d  # z is fresh from the apply: the new direction is built in it
+        d, rho = z, rho_next
         q = toeplitz_matvec(T, d)
         matvecs += 1
         dq = float(d @ q)
@@ -690,14 +669,6 @@ def pcg_solve(
         residuals.append(float(np.linalg.norm(r)) / bnorm)
         if residuals[-1] <= tol:
             return report(it, STATUS_CONVERGED, x)
-        z = precondition(r)
-        applies += 1
-        rho_next = float(r @ z)
-        if rho_next <= 0.0:
-            return report(it, STATUS_INDEFINITE, None)
-        d *= rho_next / rho
-        d += z
-        rho = rho_next
     return report(maxit, STATUS_MAX_ITERATIONS, x)
 
 
@@ -743,10 +714,7 @@ def preconditioned_spectrum_diagnostic(T: ToeplitzOperator, C: CirculantMatrix) 
         raise ValueError(f"dense diagnostic restricted to n <= {DENSE_DIAGNOSTIC_LIMIT}")
     if not C.is_spd():
         raise NotPositiveDefinite("diagnostic needs a symmetric positive definite circulant")
-    dense_c = C.to_dense()
-    if np.iscomplexobj(dense_c):
-        dense_c = dense_c.real
-    s, u = np.linalg.eigh(dense_c)
+    s, u = np.linalg.eigh(C.to_dense())
     inv_sqrt = (u / np.sqrt(s)) @ u.T
     middle = inv_sqrt @ T.to_dense() @ inv_sqrt
     evals = np.linalg.eigvalsh(0.5 * (middle + middle.T))
@@ -756,14 +724,6 @@ def preconditioned_spectrum_diagnostic(T: ToeplitzOperator, C: CirculantMatrix) 
 
 # ---------------------------------------------------------------------------
 # Benchmark driver: iteration-count tables over an (n, p) grid.
-
-
-def _number(key: str, x: object, kind: type = float) -> float:
-    """x as kind, float or int; ValueError naming key unless x is a finite
-    real number (a bool is not), of integral value when kind is int."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x) or (kind is int and x != int(x)):
-        raise ValueError(f"{key} must be a finite {kind.__name__}, got {x!r}")
-    return kind(x)
 
 
 @dataclass(frozen=True)
