@@ -12,8 +12,11 @@ Subcommands:
 
 Every file-producing command drops a manifest.json alongside its outputs;
 reruns with the same manifest are bit-identical except for the timestamp.
-All floating-point output carries 17 significant digits. Set LPORTHO_LOG
-to DEBUG/INFO/WARNING to control verbosity.
+All floating-point output carries 17 significant digits. Numeric tables
+are streamed to their files from the float64 arrays, a chunk of rows at a
+time (_serialize.write_rows); each file's values are checked before the
+file is opened, so a failed command leaves no partial file. Set
+LPORTHO_LOG to DEBUG/INFO/WARNING to control verbosity.
 """
 
 from __future__ import annotations
@@ -24,12 +27,21 @@ import json
 import logging
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
-from ._serialize import dumps_json, format_float, format_rows, read_numbers
+from ._serialize import (
+    Writer,
+    check_finite,
+    dumps_json,
+    format_float,
+    json_writer,
+    read_numbers,
+    table_writer,
+    write_rows,
+)
 from .banach_geometry import DEFAULT_ORTHO_TOL, DiscreteFunction, is_orthogonal, pair_geometry
 from .signal_decomposition import (
     EnergyReport,
@@ -64,16 +76,21 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write(out_dir: str, name: str, text: str) -> str:
-    """Write text to out_dir/name, creating its directory, and return name.
+def _write(out_dir: str, name: str, content: Union[str, Writer]) -> str:
+    """Write content, a text or a Writer, to out_dir/name, creating its
+    directory, and return name.
 
+    A Writer is built, and its values checked, before this opens the file.
     newline="" writes the text as it is, so audit's write-back of a file it
     read the same way keeps every byte.
     """
     path = os.path.join(out_dir, name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            content(fh.write)
     return name
 
 
@@ -100,7 +117,7 @@ def _write_manifest(
         "outputs": outputs,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write(args.out_dir, "manifest.json", dumps_json(manifest))
+    _write(args.out_dir, "manifest.json", json_writer(manifest))
 
 
 def _print_json(doc: dict) -> None:
@@ -155,14 +172,37 @@ def _report_text(report: EnergyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spectrum_comparison(report: EnergyReport) -> Writer:
+    """A Writer of spectrum_comparison.csv: xi, |s_hat(xi)| and
+    sum_k |phi_k_hat(xi)| for xi = 0..n-1.
+
+    The spectra of real signals are mirrored, bin n-k a copy of bin k
+    (_unfold), so only the m = n//2+1 distinct rows are formatted and row
+    n-k reuses row k's text. ValueError, before anything is written, unless
+    the values are finite and mirrored.
+    """
+    table = np.stack([report.signal_abs, report.components_abs_sum])
+    n, m = table.shape[1], table.shape[1] // 2 + 1
+    check_finite(table)
+    if not np.array_equal(table[:, m:], table[:, n - m:0:-1]):
+        raise ValueError("spectrum comparison: bin n-k differs from bin k, so the spectra are not of real signals")
+
+    def write_table(write) -> None:
+        values: list[str] = []
+        write_rows(lambda text: values.extend(text.splitlines()), "%.17g,%.17g\n", table[0, :m], table[1, :m])
+        write("xi,signal_abs,components_abs_sum\n")
+        write_rows(write, "%d,%s\n", range(m), values)
+        write_rows(write, "%d,%s\n", range(m, n), values[n - m:0:-1])
+
+    return write_table
+
+
 def _emit_report_files(out_dir: str, report: EnergyReport) -> list[str]:
-    outputs = [
-        _write(out_dir, "energy_report.json", dumps_json(energy_report_to_dict(report))),
+    return [
+        _write(out_dir, "energy_report.json", json_writer(energy_report_to_dict(report))),
         _write(out_dir, "energy_report.txt", _report_text(report)),
+        _write(out_dir, "spectrum_comparison.csv", _spectrum_comparison(report)),
     ]
-    shat, summed = report.signal_abs.tolist(), report.components_abs_sum.tolist()
-    rows = format_rows("%d,%.17g,%.17g\n", range(len(shat)), shat, summed)
-    return outputs + [_write(out_dir, "spectrum_comparison.csv", "xi,signal_abs,components_abs_sum\n" + rows)]
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -170,7 +210,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     args.halfwidths = [int(h) for h in args.halfwidths.split(",") if h.strip()]
     d = fif_decompose(s, args.halfwidths, args.delta, args.max_inner)
     report = check_energy_conservation(d, args.tol)
-    outputs = [_write(args.out_dir, "decomposition.json", dumps_json(decomposition_to_dict(d)))]
+    outputs = [_write(args.out_dir, "decomposition.json", json_writer(decomposition_to_dict(d)))]
     outputs += _emit_report_files(args.out_dir, report)
     _write_manifest(args, ["signal"], outputs)
     log.info("decomposition written to %s", args.out_dir)
@@ -183,18 +223,21 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         text = fh.read()
     report = check_energy_conservation(decomposition_from_dict(json.loads(text)), args.tol)
     if args.out_dir:
-        outputs = ["decomposition.json"] + _emit_report_files(args.out_dir, report)
+        # The text read goes back as it is, not re-serialized, and is dropped
+        # before the reports are formatted: its 17-digit samples are the
+        # largest thing audit holds.
         target = os.path.join(args.out_dir, "decomposition.json")
         if not (os.path.exists(target) and os.path.samefile(target, args.decomposition)):
-            _write(args.out_dir, "decomposition.json", text)  # the text read, not a re-serialization
+            _write(args.out_dir, "decomposition.json", text)
+        del text
+        outputs = ["decomposition.json"] + _emit_report_files(args.out_dir, report)
         _write_manifest(args, ["decomposition"], outputs)
     _print_json(energy_report_to_dict(report))
     return 0
 
 
-def _spectrum_csv(eigenvalues: np.ndarray) -> str:
-    lam = np.asarray(eigenvalues).tolist()
-    return "j,lambda\n" + format_rows("%d,%.17g\n", range(len(lam)), lam)
+def _spectrum_csv(eigenvalues: np.ndarray) -> Writer:
+    return table_writer("j,lambda\n", "%d,%.17g\n", range(len(eigenvalues)), np.asarray(eigenvalues, dtype=float))
 
 
 def _cmd_precond_bench(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._serialize import format_float, format_rows, read_numbers
+from ._serialize import format_float, read_numbers, table_writer
 from .banach_geometry import DiscreteFunction, _positive, angle
 
 __all__ = [
@@ -200,7 +200,7 @@ class Decomposition:
         tr = trend if isinstance(trend, Signal) else Signal(np.asarray(trend, dtype=float))
         total = tr.samples.copy()
         for c in comps:
-            total = total + c.samples
+            total += c.samples
         return cls(comps, tr, Signal(total), dict(meta or {}))
 
     @property
@@ -510,14 +510,17 @@ def read_signal_csv(path: str) -> Signal:
 
 
 def write_signal_csv(path: str, s: Signal) -> None:
+    write = table_writer(f"# B={format_float(s.bandwidth)}\n", "%.17g\n", s.samples)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# B={format_float(s.bandwidth)}\n" + format_rows("%.17g\n", s.samples.tolist()))
+        write(fh.write)
 
 
 def decomposition_to_dict(d: Decomposition) -> dict:
+    """The JSON layout of d: components and trend are its (read-only)
+    float64 sample arrays, which json_writer writes as number lists."""
     return {
-        "components": [c.samples.tolist() for c in d.components],
-        "trend": d.trend.samples.tolist(),
+        "components": [c.samples for c in d.components],
+        "trend": d.trend.samples,
         "meta": d.meta,
     }
 
@@ -539,8 +542,10 @@ def decomposition_from_dict(doc: dict) -> Decomposition:
         raise ValueError(f"decomposition JSON 'components' must be a list of number lists, got {components!r:.40}")
     if not isinstance(meta, dict):
         raise ValueError(f"decomposition JSON 'meta' must be an object, got {meta!r:.40}")
+    # Each part becomes a Signal as soon as it is read, so one intermediate
+    # array at a time is held next to the parsed lists.
     return Decomposition.from_parts(
-        [_number_list("components", c) for c in components], _number_list("trend", doc["trend"]), meta
+        [Signal(_number_list("components", c)) for c in components], Signal(_number_list("trend", doc["trend"])), meta
     )
 
 

@@ -186,8 +186,8 @@ def build_toeplitz(symbol: ToeplitzSymbol, n: int) -> ToeplitzOperator:
 class CirculantMatrix:
     """Real symmetric circulant matrix stored by first column, eigenvalues cached.
 
-    The first column must be 1-d, real and symmetric, c_k == c_(n-k) exactly
-    (ValueError otherwise), so the spectrum is real. Eigenvalues follow the
+    The first column must be 1-d, real, finite and symmetric, c_k == c_(n-k)
+    exactly (ValueError otherwise), so the spectrum is real. Eigenvalues follow the
     convention lambda = sqrt(n) F* c (the unnormalized inverse DFT of the
     first column). It is the only spectrum kept: solves take their Fourier
     multipliers from it. At a 7-smooth n it is the real part of
@@ -211,6 +211,8 @@ class CirculantMatrix:
         if np.iscomplexobj(col):
             raise ValueError("first_column must be real, got a complex array")
         col = col.astype(float)
+        if not np.isfinite(col).all():
+            raise ValueError("first_column must be finite")
         if not np.array_equal(col[1:], col[:0:-1]):
             raise ValueError("first_column must be symmetric: c_k == c_(n-k) for every k")
         col.setflags(write=False)

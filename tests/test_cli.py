@@ -3,13 +3,29 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lportho._serialize import format_float
-from lportho.cli import _spectrum_csv, main
-from lportho.signal_decomposition import Signal, l1_fourier_energy, write_signal_csv
+from lportho._serialize import CHUNK, format_float
+from lportho.cli import _emit_report_files, _spectrum_comparison, _spectrum_csv, main
+from lportho.signal_decomposition import (
+    Decomposition,
+    EnergyReport,
+    Signal,
+    check_energy_conservation,
+    chirp_plus_tone,
+    l1_fourier_energy,
+    write_signal_csv,
+)
+
+
+def written(writer):
+    """The text a Writer writes."""
+    parts = []
+    writer(parts.append)
+    return "".join(parts)
 
 
 def write_vector(path, values):
@@ -136,6 +152,17 @@ class TestDecompose:
             got = np.array(column, dtype=float)
             assert [format_float(v) for v in got] == list(column)
             assert np.max(np.abs(got - want)) <= bound * want.max()
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 2 * CHUNK + 2])
+    def test_spectrum_comparison_formats_each_unfolded_row(self, n):
+        # Only bins 0..n//2 are formatted; the oracle formats all n rows.
+        rng = np.random.default_rng(n)
+        report = check_energy_conservation(Decomposition.from_parts([rng.standard_normal(n)], rng.standard_normal(n)))
+        rows = zip(report.signal_abs.tolist(), report.components_abs_sum.tolist())
+        want = "".join(f"{xi},{format_float(a)},{format_float(b)}\n" for xi, (a, b) in enumerate(rows))
+        got = written(_spectrum_comparison(report))
+        # compared as lines: a failing comparison of long texts is slow to explain
+        assert got.splitlines(keepends=True) == ("xi,signal_abs,components_abs_sum\n" + want).splitlines(keepends=True)
 
     def test_deterministic_outputs(self, tmp_path, capsys, signal_file):
         path, _ = signal_file
@@ -348,7 +375,7 @@ class TestSpectrum:
         edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16, 1e17, 1.7976931348623157e308, 3.0]
         lam = np.concatenate([rng.standard_normal(9), edges, np.negative(edges)])
         rows = [f"{j},{format_float(v)}" for j, v in enumerate(lam)]
-        assert _spectrum_csv(lam) == "j,lambda\n" + "".join(r + "\n" for r in rows)
+        assert written(_spectrum_csv(lam)) == "j,lambda\n" + "".join(r + "\n" for r in rows)
 
     def test_diagnostic_summary(self, tmp_path, capsys):
         out_dir = tmp_path / "spec"
@@ -484,6 +511,76 @@ def test_manifest_parameters_are_the_parsed_flags(tmp_path, capsys, signal_file)
         assert (manifest["command"], manifest["inputs"], manifest["out_dir"]) == (command, inputs, str(out_dir))
         assert list(manifest["parameters"].items()) == list(parameters.items())
     capsys.readouterr()
+
+
+def hand_built_report(signal_abs, components_abs_sum, total_energy=2.0):
+    return EnergyReport(
+        total_energy=total_energy,
+        component_energies=(1.0, 1.0),
+        conservation_gap=0.0,
+        conserved=True,
+        tol=1e-10,
+        unwanted_frequencies=(),
+        signal_abs=np.asarray(signal_abs, dtype=float),
+        components_abs_sum=np.asarray(components_abs_sum, dtype=float),
+    )
+
+
+class TestReportFiles:
+    """Each report file's values are checked before the file is opened."""
+
+    def test_unmirrored_spectrum_is_an_error(self, tmp_path):
+        # bin 3 of n = 4 must repeat bin 1
+        report = hand_built_report([4.0, 1.0, 0.5, 2.0], [4.0, 1.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="bin n-k differs from bin k"):
+            _spectrum_comparison(report)
+        with pytest.raises(ValueError, match="bin n-k differs from bin k"):
+            _emit_report_files(str(tmp_path), report)
+        assert sorted(os.listdir(tmp_path)) == ["energy_report.json", "energy_report.txt"]
+
+    def test_non_finite_spectrum_leaves_no_file(self, tmp_path):
+        report = hand_built_report([4.0, 1.0, 0.5, 1.0], [4.0, np.nan, 0.5, np.nan])
+        with pytest.raises(ValueError, match="non-finite value nan"):
+            _emit_report_files(str(tmp_path), report)
+        assert sorted(os.listdir(tmp_path)) == ["energy_report.json", "energy_report.txt"]
+
+    def test_non_finite_energy_leaves_no_file(self, tmp_path):
+        report = hand_built_report([1.0, 1.0], [1.0, 1.0], total_energy=math.inf)
+        with pytest.raises(ValueError, match="non-finite value inf"):
+            _emit_report_files(str(tmp_path / "out"), report)
+        assert not (tmp_path / "out").exists()
+
+
+# Traced peaks of the benchmark's chirp round trip (2^16 samples): about
+# 9.0 MB for decompose and 18.9 MB for audit --out-dir when the tables are
+# streamed, against 26.8 and 21.0 MB when each file was built as one string.
+# Audit's floor is the text it writes back (7.2 MB) beside its parsed lists.
+TRACED_PEAK_MB = {"decompose": 12.0, "audit": 20.0}
+
+
+def test_traced_peak_of_the_chirp_round_trip(tmp_path, capsys):
+    n = 2**16
+    signal = chirp_plus_tone(n).samples + 0.1 * np.random.default_rng(1).standard_normal(n)
+    write_signal_csv(tmp_path / "signal.csv", Signal(signal))
+    dec, aud = tmp_path / "dec", tmp_path / "aud"
+    runs = {
+        "decompose": ["decompose", str(tmp_path / "signal.csv"), "--halfwidths", "2,8,32", "--out-dir", str(dec)],
+        "audit": ["audit", str(dec / "decomposition.json"), "--out-dir", str(aud)],
+    }
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for command, argv in runs.items():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(argv) == 0
+            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+            assert peak_mb <= TRACED_PEAK_MB[command], f"{command}: traced peak {peak_mb:.1f} MB"
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert (aud / "decomposition.json").read_bytes() == (dec / "decomposition.json").read_bytes()
 
 
 class TestTopLevel:

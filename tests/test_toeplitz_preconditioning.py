@@ -379,6 +379,14 @@ class TestCirculantMatrix:
         assert C.num_negative_eigenvalues == 1
         assert not C.is_spd()
 
+    @pytest.mark.parametrize(
+        "col", [[np.inf, 0.0, 0.0], [1.0, np.inf, np.inf], [1.0, np.nan, np.nan]], ids=["inf_diag", "inf_off", "nan_off"]
+    )
+    def test_non_finite_column_rejected(self, col):
+        # The finiteness test comes first: a NaN pair is not reported as asymmetric.
+        with pytest.raises(ValueError, match="^first_column must be finite$"):
+            CirculantMatrix(3, np.array(col))
+
 
 class TestModelSpectrumClosedForm:
     @pytest.mark.parametrize("params", MODEL_PARAMS)
