@@ -113,6 +113,14 @@ def _positive(name: str, x: float) -> float:
     return float(x)
 
 
+def _number(key: str, x: object, kind: type = float) -> float:
+    """x as kind, float or int; ValueError naming key unless x is a finite
+    real number (a bool is not), of integral value when kind is int (2.0 gives 2)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x) or (kind is int and x != int(x)):
+        raise ValueError(f"{key} must be a finite {kind.__name__}, got {x!r}")
+    return kind(x)
+
+
 def _as_function(f: FunctionLike) -> DiscreteFunction:
     if isinstance(f, DiscreteFunction):
         return f

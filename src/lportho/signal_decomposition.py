@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._serialize import format_float, read_numbers, table_writer
-from .banach_geometry import DiscreteFunction, _positive, angle
+from .banach_geometry import DiscreteFunction, _number, _positive, angle
 
 __all__ = [
     "InconsistentDecomposition",
@@ -394,16 +394,15 @@ def fif_decompose(
     A stage that hits the cap is recorded in meta and logged as a warning
     on the "lportho" logger, not raised. The stabilized iterate is
     extracted as a component by irfft, the rest moves on, and the final
-    remainder is the trend. delta must be a finite number > 0 and
-    max_inner an integral value >= 1.
+    remainder is the trend. delta must be a finite number > 0, max_inner
+    an integral number >= 1 and each halfwidth an integral number >= 1
+    (ValueError naming it otherwise, before any work).
 
     Because every stage scales each frequency by a factor in [0, 1] and the
     factors telescope to a partition of unity, the output conserves the L1
     Fourier energy and produces no unwanted oscillations up to rounding.
     """
-    if any(int(h) != h for h in filter_halfwidths):
-        raise ValueError("halfwidths must be integers")
-    hws = [int(h) for h in filter_halfwidths]
+    hws = [_number("halfwidths entry", h, int) for h in filter_halfwidths]
     if not hws:
         raise ValueError("need at least one filter halfwidth")
     if any(h <= 0 for h in hws):
@@ -413,9 +412,7 @@ def fif_decompose(
     if any(h >= s.n / 2 for h in hws):
         raise ValueError(f"halfwidths must be < n/2 = {s.n / 2}")
     delta = _positive("delta", delta)
-    if int(max_inner) != max_inner:
-        raise ValueError("max_inner must be an integer")
-    max_inner = int(max_inner)
+    max_inner = _number("max_inner", max_inner, int)
     if max_inner < 1:
         raise ValueError("max_inner must be >= 1")
 

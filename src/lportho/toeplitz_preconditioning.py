@@ -7,14 +7,15 @@ weighted power mean of the two Toeplitz offsets each circulant diagonal
 touches), so constructing it costs O(n). A Toeplitz operator keeps its
 diagonals as one dense kernel over offsets -w..w, w its widest stored
 offset, and a matrix-vector product is one convolution with it, in
-O(n(2w+1)). A circulant keeps one real spectrum, its eigenvalues. When n
-is 7-smooth (no prime factor above 7) a circulant is inverted by
-half-spectrum division with real FFTs. At any other n a banded column (a
-minimizer of a banded operator) takes no slow (Bluestein) FFT of length n:
-its spectrum is the cosine sum, in O(n w), and when SPD it is inverted by
-a banded Cholesky factorization with a low-rank correction for the
-wrapped corners. Other columns are applied by a folded power-of-two
-convolution. The solver is a standard preconditioned conjugate gradient
+O(n(2w+1)). A circulant keeps one real spectrum, its eigenvalues, by a
+rule that reads only its column: the cosine sum, in O(n w), for a banded
+column (a minimizer of a banded operator), rfft for any other. At a
+7-smooth n (no prime factor above 7) a circulant is inverted by
+half-spectrum division with real FFTs; at any other n a banded SPD column
+by a banded Cholesky factorization with a low-rank correction for the
+wrapped corners, and other columns by a folded power-of-two convolution,
+so no solve takes a slow (Bluestein) FFT of length n, and nothing here a
+complex FFT. The solver is a standard preconditioned conjugate gradient
 with explicit failure reporting for singular or indefinite
 preconditioners and indefinite operators. Symbols, operators and
 circulants hold real symmetric data only, the one kind it solves with;
@@ -28,14 +29,12 @@ iteration-count tables.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .banach_geometry import PExponent, _positive
+from .banach_geometry import PExponent, _number, _positive
 
 __all__ = [
     "PreconditionerSingular",
@@ -92,14 +91,6 @@ class NoAdmissibleExponent(RuntimeError):
 
 class UncorrectableSpectrum(ValueError):
     """Spectral correction impossible: no eigenvalue is positive."""
-
-
-def _number(key: str, x: object, kind: type = float) -> float:
-    """x as kind, float or int; ValueError naming key unless x is a finite
-    real number (a bool is not), of integral value when kind is int."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x) or (kind is int and x != int(x)):
-        raise ValueError(f"{key} must be a finite {kind.__name__}, got {x!r}")
-    return kind(x)
 
 
 def _symmetric_diagonals(diagonals: Mapping[int, float]) -> dict[int, float]:
@@ -187,15 +178,14 @@ class CirculantMatrix:
     """Real symmetric circulant matrix stored by first column, eigenvalues cached.
 
     The first column must be 1-d, real, finite and symmetric, c_k == c_(n-k)
-    exactly (ValueError otherwise), so the spectrum is real. Eigenvalues follow the
-    convention lambda = sqrt(n) F* c (the unnormalized inverse DFT of the
-    first column). It is the only spectrum kept: solves take their Fourier
-    multipliers from it. At a 7-smooth n it is the real part of
-    n * ifft(c). At any other n a banded column (see _band_halfwidth)
-    evaluates the cosine sum lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n)
-    in O(n w) instead of an FFT of length n; the two agree to a few ulps of
-    max |lambda|. p records the exponent used to build the matrix when it
-    came from a minimization, None otherwise.
+    exactly (ValueError otherwise), so the spectrum is real and even. It is
+    the only spectrum kept, read-only, and solves take their multipliers
+    from it. The column alone picks how its n//2+1 distinct values are
+    computed: a banded column (see _band_halfwidth) takes the cosine sum
+    lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n) in O(n w), any other
+    rfft(c).real. The rest are mirrored, lambda_(n-j) == lambda_j bit for
+    bit. The solve's apply (_real_inverse) is cached too. p records the
+    exponent used to build the matrix when it came from a minimization.
     """
 
     n: int
@@ -203,6 +193,7 @@ class CirculantMatrix:
     p: Optional[float] = None
     symbol: Optional[ToeplitzSymbol] = None
     _eig: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _inverse: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         col = np.asarray(self.first_column)
@@ -223,7 +214,9 @@ class CirculantMatrix:
         if self._eig is None:
             col = self.first_column
             w = _band_halfwidth(col)
-            lam = (self.n * np.fft.ifft(col)).real if w is None else _banded_spectrum(col, w)
+            half = np.fft.rfft(col).real if w is None else _banded_spectrum(col, w)
+            lam = np.concatenate([half, half[1 : (self.n + 1) // 2][::-1]])
+            lam.setflags(write=False)
             object.__setattr__(self, "_eig", lam)
         return self._eig
 
@@ -290,8 +283,8 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
 def circulant_spectrum(C: CirculantMatrix) -> np.ndarray:
     """Eigenvalues of a circulant: the DFT of its first column.
 
-    A copy of C.eigenvalues, so a banded column at an n that is not
-    7-smooth gets the O(n w) cosine sum rather than an FFT of length n.
+    A writable copy of C.eigenvalues: the O(n w) cosine sum for a banded
+    column, rfft of the column otherwise, mirrored into j > n/2.
     """
     return np.array(C.eigenvalues, copy=True)
 
@@ -321,21 +314,17 @@ def strang_type_correction(C: CirculantMatrix) -> CirculantMatrix:
     A negative eigenvalue becomes its absolute value and a zero one the
     smallest positive eigenvalue. The result is positive definite; with no
     positive eigenvalue the spectrum is uncorrectable. The new column's
-    entries c_0..c_(n//2) come from the inverse of lambda = n * ifft(c) and
-    are mirrored into c_(n-k) = c_k, so it is symmetric by construction.
+    c_0..c_(n//2) are irfft of the corrected distinct eigenvalues and are
+    mirrored into c_(n-k) = c_k, so it is symmetric by construction.
     """
-    lam = C.eigenvalues.copy()
+    n = C.n
+    lam = C.eigenvalues[: n // 2 + 1]  # the distinct eigenvalues
     good = lam > 0.0
     if not np.any(good):
         raise UncorrectableSpectrum("no eigenvalue is positive")
     if np.all(good):
         return C
-    floor = float(np.min(lam[good]))
-    bad = ~good
-    replacement = np.where(np.abs(lam[bad]) > 0.0, np.abs(lam[bad]), floor)
-    lam[bad] = replacement
-    n = C.n
-    col = (np.fft.fft(lam)[: n // 2 + 1] / n).real
+    col = np.fft.irfft(np.where(lam != 0.0, np.abs(lam), np.min(lam[good])), n)[: n // 2 + 1]
     return CirculantMatrix(n, np.concatenate([col, col[1 : (n + 1) // 2][::-1]]), C.p, C.symbol)
 
 
@@ -380,13 +369,11 @@ MAX_BAND_HALFWIDTH = 8
 def _band_halfwidth(col: np.ndarray) -> Optional[int]:
     """w when the banded paths apply to a circulant's first column, else None.
 
-    They apply when n is not 7-smooth and the (symmetric) column is zero
-    outside offsets -w..w, with w <= MAX_BAND_HALFWIDTH and 4w < n. Every
-    other column keeps the FFTs.
+    They apply when the (symmetric) column is zero outside offsets -w..w,
+    with w <= MAX_BAND_HALFWIDTH and 4w < n, whatever n's prime factors.
+    Every other column keeps the FFTs.
     """
     n = col.size
-    if _is_7_smooth(n):
-        return None
     nonzero = np.flatnonzero(col[1 : MAX_BAND_HALFWIDTH + 1])
     w = int(nonzero[-1]) + 1 if nonzero.size else 0
     if 4 * w >= n or np.any(col[w + 1 : n - w]):
@@ -411,10 +398,7 @@ def _cos_table(n: int) -> np.ndarray:
 
 
 def _banded_spectrum(col: np.ndarray, w: int) -> np.ndarray:
-    """lambda_j = c_0 + 2 sum_(k=1..w) c_k cos(2 pi jk / n), in O(n w).
-
-    Evaluated for j <= n/2 and mirrored, since lambda_(n-j) = lambda_j.
-    """
+    """lambda_j = c_0 + 2 sum_(k=1..w) c_k cos(2 pi jk / n) for j = 0..n//2, in O(n w)."""
     n = col.size
     j = np.arange(n // 2 + 1)
     lam = np.full(j.size, col[0])
@@ -423,7 +407,7 @@ def _banded_spectrum(col: np.ndarray, w: int) -> np.ndarray:
         for k in range(1, w + 1):
             q = j * k % n
             lam += 2.0 * col[k] * cos[np.minimum(q, n - q)]
-    return np.concatenate([lam, lam[1 : (n + 1) // 2][::-1]])
+    return lam
 
 
 def _banded_inverse(col: np.ndarray, w: int) -> Optional[Callable[[np.ndarray], np.ndarray]]:
@@ -483,9 +467,17 @@ APPLY_BANDED_CHOLESKY = "banded_cholesky"
 
 
 def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
+    """C's (path, apply) pair from _build_inverse, cached on C like its eigenvalues,
+    so C's solves share one build; a singular C caches nothing and raises every time."""
+    if C._inverse is None:
+        object.__setattr__(C, "_inverse", _build_inverse(C))
+    return C._inverse
+
+
+def _build_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
     """The map r -> C^(-1) r for real r, with its path name.
 
-    half = eigenvalues[: n // 2 + 1] is rfft of the first column.
+    half = eigenvalues[: n // 2 + 1], the distinct eigenvalues.
     half_spectrum: when n is 7-smooth (no prime factor above 7) an apply is
     irfft(rfft(r) / half). banded_cholesky: at any other n, a banded column
     (_band_halfwidth) with a positive spectrum and a positive definite band
@@ -499,7 +491,7 @@ def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.nd
     n = C.n
     lam = C.eigenvalues
     _check_nonsingular(lam)
-    half = lam[: n // 2 + 1].copy()  # contiguous: a strided divisor slows every apply
+    half = lam[: n // 2 + 1]  # contiguous: a strided divisor slows every apply
     if _is_7_smooth(n):
         return APPLY_HALF_SPECTRUM, lambda r: np.fft.irfft(np.fft.rfft(r) / half, n)
     w = _band_halfwidth(C.first_column)
@@ -521,7 +513,7 @@ def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.nd
 def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
     """Solve C z = r for a real r of shape (n,) (ValueError otherwise).
 
-    Takes the paths of _real_inverse, built for this one call: half-spectrum
+    Takes the paths of _real_inverse, built once per C: half-spectrum
     division with real FFTs when n is 7-smooth; otherwise a banded Cholesky
     factorization for a banded SPD column, and a folded power-of-two
     convolution with the first column of C^(-1) for any other. Raises
@@ -588,21 +580,21 @@ def pcg_solve(
     the true residual of the returned solution is reported beside it. T and
     M are real symmetric by construction. Each iteration makes one apply of
     M^(-1) and one matvec (toeplitz_matvec, one convolution with T's
-    kernel). The apply is built once per solve, before the first iteration,
-    as in circulant_solve: half-spectrum division at 7-smooth n; at other n
+    kernel). The apply is built once per M, before its first iteration, as
+    in circulant_solve: half-spectrum division at 7-smooth n; at other n
     a banded Cholesky apply for a banded SPD M, a folded power-of-two
     convolution otherwise. The report's apply_path names it, and its
     matvecs and applies count both.
 
     Failure rule: an argument that is malformed in itself (b complex, of
-    the wrong shape or not finite, tol not a finite number > 0, maxit < 0,
-    M of another dimension) raises ValueError before any work; T and M
-    raised theirs when they were built. Anything the solve finds out about
-    T or M is a status, with no solution: a singular M is
-    preconditioner_singular without iterating; a nonpositive
-    preconditioned inner product r.z is preconditioner_indefinite, and a
-    nonpositive curvature d.Td is operator_indefinite, each with
-    iterations = the completed ones.
+    the wrong shape or not finite, tol not a finite number > 0, maxit not
+    None or an integral number >= 0, M of another dimension) raises
+    ValueError naming it before any work; T and M raised theirs when built.
+    Anything the solve finds out about T or M is a status, with no
+    solution: a singular M is preconditioner_singular without iterating; a
+    nonpositive preconditioned inner product r.z is
+    preconditioner_indefinite, and a nonpositive curvature d.Td is
+    operator_indefinite, each with iterations = the completed ones.
     """
     if np.iscomplexobj(b):
         raise ValueError("right-hand side must be real, got a complex array")
@@ -612,9 +604,8 @@ def pcg_solve(
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
     tol = _positive("tol", tol)
-    if maxit is None:
-        maxit = 10 * T.n
-    elif maxit < 0:
+    maxit = 10 * T.n if maxit is None else _number("maxit", maxit, int)
+    if maxit < 0:
         raise ValueError(f"maxit must be >= 0, got {maxit}")
     if M is not None and M.n != T.n:
         raise ValueError(f"preconditioner dimension {M.n} differs from operator dimension {T.n}")

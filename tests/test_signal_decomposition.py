@@ -391,6 +391,18 @@ class TestFifDecompose:
         with pytest.raises(ValueError):
             fif_decompose(s, [2], max_inner=2.5)
 
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [({"max_inner": bad}, "max_inner") for bad in (math.inf, math.nan, 2.5, True)]
+        + [({"filter_halfwidths": [bad]}, "halfwidths") for bad in (math.inf, math.nan, 2.5, True)],
+    )
+    def test_non_integral_counts_rejected_before_any_work(self, monkeypatch, kwargs, key):
+        # inf used to raise OverflowError, and True ran as 1
+        s = Signal(np.zeros(16))
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: pytest.fail("did work"))
+        with pytest.raises(ValueError, match=key):
+            fif_decompose(s, **{"filter_halfwidths": [2], **kwargs})
+
     @pytest.mark.parametrize("delta", [math.inf, math.nan])
     def test_non_finite_delta_rejected(self, delta):
         with pytest.raises(ValueError, match="delta"):

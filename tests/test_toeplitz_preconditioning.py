@@ -587,6 +587,33 @@ class TestCirculantSolve:
         with pytest.raises(ValueError, match="real"):
             circulant_solve(C, np.ones(13) + 1j)
 
+    def test_apply_is_built_once_per_circulant(self, monkeypatch):
+        n = 1009
+        rng = np.random.default_rng(n)
+        col = 0.3 * rng.standard_normal(n)
+        col[0] += 2.0 + float(np.sum(np.abs(col)))
+        C = CirculantMatrix(n, 0.5 * (col + np.roll(col[::-1], 1)))
+        builds = []
+        build = tp._build_inverse
+        monkeypatch.setattr(tp, "_build_inverse", lambda C: builds.append(C.n) or build(C))
+        for seed in (1, 2):
+            r = np.random.default_rng(seed).standard_normal(n)
+            np.testing.assert_allclose(circulant_solve(C, r), np.linalg.solve(C.to_dense(), r), rtol=1e-12, atol=1e-13)
+        assert builds == [n]
+        T = ToeplitzOperator(n, {0: 1.0})
+        assert pcg_solve(T, np.ones(n), C).apply_path == "folded_kernel"
+        assert builds == [n]  # pcg_solve reuses the solves' build
+
+    def test_singular_raises_every_time(self, monkeypatch):
+        C = lp_circulant_minimizer(build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 97), 1)
+        builds = []
+        build = tp._build_inverse
+        monkeypatch.setattr(tp, "_build_inverse", lambda C: builds.append(C.n) or build(C))
+        for _ in range(2):
+            with pytest.raises(PreconditionerSingular):
+                circulant_solve(C, np.ones(97))
+        assert builds == [97, 97]
+
     def test_prime_length_matches_complex_fft_formula(self):
         n = 10007
         T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), n)
@@ -598,8 +625,9 @@ class TestCirculantSolve:
 
 
 # ---------------------------------------------------------------------------
-# Banded circulants at n with a prime factor above 7. Oracles: dense solves,
-# numpy's FFT, and the cosine sum in extended precision.
+# Banded circulants: the cosine-sum spectrum at every n, and the banded apply
+# at n with a prime factor above 7. Oracles: dense solves, numpy's FFT, and
+# the cosine sum in extended precision.
 
 PAPER_P_GRID = (1.0, 1.4, 1.6, 1.8, 3.0, 5.0, 10.0)
 EPS = np.finfo(float).eps
@@ -612,6 +640,7 @@ BANDED_SYMBOLS = {
     "w3": ToeplitzSymbol({0: 10.0, 1: -3.0, -1: -3.0, 2: 1.0, -2: 1.0, 3: -0.5, -3: -0.5}),
 }
 NON_SMOOTH_N = (97, 143, 1009, 2003)  # 97, 11 * 13, 1009 and 2003
+SMOOTH_N = (100, 128, 700, 1000, 4096)  # no prime factor above 7
 
 
 def fft_spectrum(C):
@@ -646,7 +675,7 @@ class TestBandedCirculant:
         cond = np.max(np.abs(lam)) / np.min(np.abs(lam))
         assert np.linalg.norm(got - want) <= 16 * cond * EPS * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("n", NON_SMOOTH_N)
+    @pytest.mark.parametrize("n", NON_SMOOTH_N + SMOOTH_N)
     @pytest.mark.parametrize("name", sorted(BANDED_SYMBOLS))
     @pytest.mark.parametrize("p", [1.0, 1.6, 10.0])
     def test_spectrum_matches_cosine_sum_and_fft(self, n, name, p):
@@ -677,14 +706,6 @@ class TestBandedCirculant:
         exact = np.cos(8 * np.arctan(np.longdouble(1)) * m / n)
         # cos(2 pi m / n) in double precision is off by up to 2 ulps of 1
         assert float(np.max(np.abs(_cos_table(n) - exact))) <= EPS
-
-    @pytest.mark.parametrize("n", [100, 128, 300, 700, 1000, 2**12])
-    @pytest.mark.parametrize("p", [1.0, 1.6])
-    def test_7_smooth_spectrum_is_the_inverse_fft(self, n, p):
-        C = lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS["stiff"], n), p)
-        np.testing.assert_array_equal(C.eigenvalues, n * np.fft.ifft(C.first_column).real)
-        if C.is_spd():
-            assert apply_path(C, n) == "half_spectrum"
 
     def test_indefinite_band_keeps_folded_kernel(self):
         n = 1009
@@ -723,6 +744,50 @@ class TestBandedCirculant:
         assert pcg_solve(T, np.ones(97), lp_circulant_minimizer(T, 1.0)).apply_path == "banded_cholesky"
         T = build_toeplitz(BANDED_SYMBOLS["gentle"], 96)
         assert pcg_solve(T, np.ones(96), lp_circulant_minimizer(T, 1.0)).apply_path == "half_spectrum"
+        # at a 7-smooth n a banded SPD column keeps the half-spectrum apply
+        for n in (100, 128, 300, 700, 1000, 2**12):
+            for p in (1.0, 1.6):
+                C = lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS["stiff"], n), p)
+                if C.is_spd():
+                    assert apply_path(C, n) == "half_spectrum", (n, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 97, 100])
+    def test_every_spectrum_is_mirrored_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        dense = rng.standard_normal(n)
+        dense = 0.5 * (dense + np.roll(dense[::-1], 1))
+        dense[0] = 0.5
+        wide = np.where(np.minimum(np.arange(n), n - np.arange(n)) <= 9, dense, 0.0)  # w = 9: over the cap
+        columns = {
+            "banded": lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS["stiff"], n), 1.4),
+            "dense": CirculantMatrix(n, dense),
+            "wide": CirculantMatrix(n, wide),
+            "corrected": strang_type_correction(CirculantMatrix(n, dense)),
+        }
+        for name, C in columns.items():
+            lam = C.eigenvalues
+            assert lam.shape == (n,) and np.array_equal(lam[1:], lam[:0:-1]), name
+            assert np.array_equal(circulant_spectrum(C), lam), name
+            np.testing.assert_allclose(lam, np.fft.fft(C.first_column).real, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(lam))))
+        assert columns["corrected"].is_spd()
+
+    @pytest.mark.parametrize("correction", ["off", "on"])
+    def test_no_complex_fft(self, monkeypatch, correction):
+        # every spectrum, correction and apply takes real FFTs or none
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail("took a complex FFT"))
+        result = run_benchmark(BenchmarkConfig(0, 2, 8, (97, 100), (1.0, 1.4, 1.6, 10.0), correction=correction))
+        statuses = {cell.report.status for cell in result.cells}
+        assert "converged" in statuses
+        assert ("preconditioner_indefinite" in statuses) == (correction == "off")
+        for n in (97, 100):
+            rng = np.random.default_rng(n)
+            dense = rng.standard_normal(n)
+            dense = 0.5 * (dense + np.roll(dense[::-1], 1))
+            dense[0] += 2.0 + float(np.sum(np.abs(dense)))
+            for C in (CirculantMatrix(n, dense), lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS["gentle"], n), 1.0)):
+                r = rng.standard_normal(n)
+                np.testing.assert_allclose(circulant_solve(C, r), np.linalg.solve(C.to_dense(), r), rtol=1e-10, atol=1e-12)
 
 
 class TestPcgSolve:
@@ -823,6 +888,22 @@ class TestPcgSolve:
             pcg_solve(T, np.ones(6), maxit=-3)
         report = pcg_solve(T, np.ones(6), maxit=0)
         assert (report.status, report.iterations) == ("max_iterations", 0)
+
+    @pytest.mark.parametrize("maxit", [2.5, math.nan, math.inf, True, "2"])
+    def test_rejects_non_integral_maxit_before_any_work(self, monkeypatch, maxit):
+        # these used to raise TypeError from range() after the apply was built,
+        # and True ran one iteration
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 8)
+        M = lp_circulant_minimizer(T, 1.0)
+        monkeypatch.setattr(tp, "_build_inverse", lambda C: pytest.fail("built an apply"))
+        with pytest.raises(ValueError, match="maxit"):
+            pcg_solve(T, np.ones(8), M, maxit=maxit)
+
+    def test_integral_float_maxit_is_an_int(self):
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 64)
+        report = pcg_solve(T, np.ones(64), None, maxit=2.0)
+        assert (report.status, report.iterations) == ("max_iterations", 2)
+        assert type(report.iterations) is int
 
     def test_rejects_preconditioner_of_other_dimension(self):
         T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 64)
