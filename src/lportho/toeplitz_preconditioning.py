@@ -184,8 +184,8 @@ class CirculantMatrix:
     computed: a banded column (see _band_halfwidth) takes the cosine sum
     lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n) in O(n w), any other
     rfft(c).real. The rest are mirrored, lambda_(n-j) == lambda_j bit for
-    bit. The solve's apply (_real_inverse) is cached too. p records the
-    exponent used to build the matrix when it came from a minimization.
+    bit. p records the exponent used to build the matrix when it came from
+    a minimization.
     """
 
     n: int
@@ -193,7 +193,6 @@ class CirculantMatrix:
     p: Optional[float] = None
     symbol: Optional[ToeplitzSymbol] = None
     _eig: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _inverse: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         col = np.asarray(self.first_column)
@@ -467,14 +466,6 @@ APPLY_BANDED_CHOLESKY = "banded_cholesky"
 
 
 def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
-    """C's (path, apply) pair from _build_inverse, cached on C like its eigenvalues,
-    so C's solves share one build; a singular C caches nothing and raises every time."""
-    if C._inverse is None:
-        object.__setattr__(C, "_inverse", _build_inverse(C))
-    return C._inverse
-
-
-def _build_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
     """The map r -> C^(-1) r for real r, with its path name.
 
     half = eigenvalues[: n // 2 + 1], the distinct eigenvalues.
@@ -513,7 +504,7 @@ def _build_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.n
 def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
     """Solve C z = r for a real r of shape (n,) (ValueError otherwise).
 
-    Takes the paths of _real_inverse, built once per C: half-spectrum
+    Takes the paths of _real_inverse, built for this one call: half-spectrum
     division with real FFTs when n is 7-smooth; otherwise a banded Cholesky
     factorization for a banded SPD column, and a folded power-of-two
     convolution with the first column of C^(-1) for any other. Raises
@@ -580,8 +571,8 @@ def pcg_solve(
     the true residual of the returned solution is reported beside it. T and
     M are real symmetric by construction. Each iteration makes one apply of
     M^(-1) and one matvec (toeplitz_matvec, one convolution with T's
-    kernel). The apply is built once per M, before its first iteration, as
-    in circulant_solve: half-spectrum division at 7-smooth n; at other n
+    kernel). The apply is built once per solve, before the first iteration,
+    as in circulant_solve: half-spectrum division at 7-smooth n; at other n
     a banded Cholesky apply for a banded SPD M, a folded power-of-two
     convolution otherwise. The report's apply_path names it, and its
     matvecs and applies count both.
