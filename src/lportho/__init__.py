@@ -5,8 +5,9 @@ The package has three numerical layers plus a command-line front end:
 
 - ``banach_geometry``: weak inner products, angles, and Pythagorean defects
   for discrete functions under the lp duality map.
-- ``signal_decomposition``: DFT-based L1 energy bookkeeping and a spectral
-  iterative-filtering decomposer whose output conserves that energy.
+- ``signal_decomposition``: L1 Fourier-energy bookkeeping on real FFTs and
+  a spectral iterative-filtering decomposer whose output conserves that
+  energy.
 - ``toeplitz_preconditioning``: entrywise-lp-optimal circulant approximants
   of banded Toeplitz matrices and a preconditioned conjugate gradient solver
   built on FFT kernels.
@@ -29,12 +30,8 @@ from .signal_decomposition import (
     Decomposition,
     EnergyReport,
     Signal,
-    Spectrum,
     check_energy_conservation,
-    detect_unwanted_oscillations,
-    dft,
     fif_decompose,
-    idft,
     l1_fourier_energy,
     pairwise_l1_angles,
 )
@@ -67,14 +64,10 @@ __all__ = [
     "is_orthogonal",
     "pair_geometry",
     "Signal",
-    "Spectrum",
     "Decomposition",
     "EnergyReport",
-    "dft",
-    "idft",
     "l1_fourier_energy",
     "check_energy_conservation",
-    "detect_unwanted_oscillations",
     "fif_decompose",
     "pairwise_l1_angles",
     "ToeplitzSymbol",

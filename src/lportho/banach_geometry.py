@@ -86,16 +86,18 @@ FunctionLike = Union[DiscreteFunction, Sequence[float], np.ndarray]
 class PExponent:
     """A Lebesgue exponent p >= 1 together with its conjugate q.
 
-    1/p + 1/q = 1, with q = inf when p = 1.
+    1/p + 1/q = 1, with q = inf when p = 1. p must be a finite real number
+    >= 1, and a bool is not one (ValueError otherwise).
     """
 
     p: float
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
-        p = float(self.p)
-        if not (math.isfinite(p) and p >= 1.0):
+        p = self.p
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not (math.isfinite(p) and p >= 1.0):
             raise ValueError(f"exponent p must be a finite number >= 1, got {self.p!r}")
+        p = float(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", math.inf if p == 1.0 else p / (p - 1.0))
 
@@ -130,7 +132,7 @@ def _as_function(f: FunctionLike) -> DiscreteFunction:
 def _as_exponent(p: ExponentLike) -> PExponent:
     if isinstance(p, PExponent):
         return p
-    return PExponent(float(p))
+    return PExponent(p)
 
 
 def _check_compatible(f: DiscreteFunction, g: DiscreteFunction) -> None:

@@ -42,7 +42,7 @@ from ._serialize import (
     table_writer,
     write_rows,
 )
-from .banach_geometry import DEFAULT_ORTHO_TOL, DiscreteFunction, is_orthogonal, pair_geometry
+from .banach_geometry import DEFAULT_ORTHO_TOL, DiscreteFunction, GeometryResult, is_orthogonal, pair_geometry
 from .signal_decomposition import (
     EnergyReport,
     check_energy_conservation,
@@ -124,33 +124,24 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(dumps_json(doc))
 
 
-def _cmd_angle(args: argparse.Namespace) -> int:
+def _pair(args: argparse.Namespace) -> tuple[GeometryResult, bool]:
+    """angle's and ortho's one path: the pair geometry of the vectors in
+    args.file_f and args.file_g at args.p, and whether they are orthogonal
+    to within args.tol."""
     f = DiscreteFunction(read_numbers(args.file_f)[0])
     g = DiscreteFunction(read_numbers(args.file_g)[0])
-    result = pair_geometry(f, g, args.p)
-    _print_json(
-        {
-            "wip": result.weak_inner_product,
-            "defect": result.defect,
-            "angle": result.angle,
-            "orthogonal": is_orthogonal(f, g, args.p, args.tol),
-        }
-    )
+    return pair_geometry(f, g, args.p), is_orthogonal(f, g, args.p, args.tol)
+
+
+def _cmd_angle(args: argparse.Namespace) -> int:
+    result, orthogonal = _pair(args)
+    _print_json({"wip": result.weak_inner_product, "defect": result.defect, "angle": result.angle, "orthogonal": orthogonal})
     return 0
 
 
 def _cmd_ortho(args: argparse.Namespace) -> int:
-    f = DiscreteFunction(read_numbers(args.file_f)[0])
-    g = DiscreteFunction(read_numbers(args.file_g)[0])
-    result = pair_geometry(f, g, args.p)
-    _print_json(
-        {
-            "orthogonal": is_orthogonal(f, g, args.p, args.tol),
-            "wip": result.weak_inner_product,
-            "p": float(args.p),
-            "tol": float(args.tol),
-        }
-    )
+    result, orthogonal = _pair(args)
+    _print_json({"orthogonal": orthogonal, "wip": result.weak_inner_product, "p": float(args.p), "tol": float(args.tol)})
     return 0
 
 
@@ -293,19 +284,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lportho {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_angle = sub.add_parser("angle", help="weak inner product, defect, and angle of two vectors")
-    p_angle.add_argument("file_f")
-    p_angle.add_argument("file_g")
-    p_angle.add_argument("--p", type=float, default=1.0)
-    p_angle.add_argument("--tol", type=float, default=DEFAULT_ORTHO_TOL)
-    p_angle.set_defaults(func=_cmd_angle)
-
-    p_ortho = sub.add_parser("ortho", help="orthogonality test for two vectors")
-    p_ortho.add_argument("file_f")
-    p_ortho.add_argument("file_g")
-    p_ortho.add_argument("--p", type=float, default=1.0)
-    p_ortho.add_argument("--tol", type=float, default=DEFAULT_ORTHO_TOL)
-    p_ortho.set_defaults(func=_cmd_ortho)
+    for name, help_text, func in (
+        ("angle", "weak inner product, defect, and angle of two vectors", _cmd_angle),
+        ("ortho", "orthogonality test for two vectors", _cmd_ortho),
+    ):
+        p_pair = sub.add_parser(name, help=help_text)
+        p_pair.add_argument("file_f")
+        p_pair.add_argument("file_g")
+        p_pair.add_argument("--p", type=float, default=1.0)
+        p_pair.add_argument("--tol", type=float, default=DEFAULT_ORTHO_TOL)
+        p_pair.set_defaults(func=func)
 
     p_energy = sub.add_parser("energy", help="L1 Fourier energy of a signal")
     p_energy.add_argument("signal")

@@ -3,13 +3,14 @@
 A sampled signal lives on the grid t_j = j/(2B) with n = 2B samples, so the
 integer frequencies 0..n-1 make the forward transform an ordinary DFT. The
 L1 Fourier energy of a signal is the l1 norm of that transform. Samples are
-real, so the energy audit and the decomposer work on the n//2+1 bins of the
-rfft, each weighted by how often it occurs among the n bins. The module
-verifies whether a decomposition s = sum(components) + trend conserves this
-energy, locates frequencies where component spectra over-count the signal
-(unwanted oscillations), and provides a spectral iterative-filtering
-decomposer whose stages act by nonnegative per-frequency factors, making
-conservation hold by construction.
+real, so the energy audit, the decomposer and the frequency-domain angles
+work on the n//2+1 bins of the rfft, each weighted by how often it occurs
+among the n bins; no complex FFT is taken. The module verifies whether a
+decomposition s = sum(components) + trend conserves this energy, locates
+frequencies where component spectra over-count the signal (unwanted
+oscillations, reported by the energy audit), and provides a spectral
+iterative-filtering decomposer whose stages act by nonnegative
+per-frequency factors, making conservation hold by construction.
 """
 
 from __future__ import annotations
@@ -27,14 +28,10 @@ from .banach_geometry import DiscreteFunction, _number, _positive, angle
 __all__ = [
     "InconsistentDecomposition",
     "Signal",
-    "Spectrum",
     "Decomposition",
     "EnergyReport",
-    "dft",
-    "idft",
     "l1_fourier_energy",
     "check_energy_conservation",
-    "detect_unwanted_oscillations",
     "fif_decompose",
     "pairwise_l1_angles",
     "chirp_plus_tone",
@@ -90,51 +87,6 @@ class Signal:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n) / (2.0 * self.bandwidth)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex DFT coefficients on the integer frequency grid 0..n-1."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coefficients, dtype=np.complex128).copy()
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("coefficients must be a non-empty 1-d sequence")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.size
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.n)
-
-
-def dft(s: Signal) -> Spectrum:
-    """Forward transform sum_j s_j exp(-2 pi i t_j xi_k).
-
-    On the grid t_j = j/(2B) with n = 2B the exponent is -2 pi i jk/n, so
-    this is the plain unnormalized DFT at any length (mixed radix and
-    Bluestein handled by the FFT backend).
-    """
-    return Spectrum(np.fft.fft(s.samples))
-
-
-def idft(spec: Spectrum) -> Signal:
-    """Inverse transform back to a real signal.
-
-    The spectrum must be Hermitian-symmetric up to rounding, i.e. come from
-    real samples; anything else has no Signal representation.
-    """
-    x = np.fft.ifft(spec.coefficients)
-    scale = np.max(np.abs(x)) or 1.0
-    if np.max(np.abs(x.imag)) > 1e-9 * scale:
-        raise ValueError("spectrum is not conjugate-symmetric; time signal would be complex")
-    return Signal(x.real)
 
 
 def _hermitian_weights(bins: int) -> np.ndarray:
@@ -218,7 +170,9 @@ class EnergyReport:
     energy is included among component_energies (last entry). signal_abs
     is |s_hat(xi)| and components_abs_sum is sum_k |phi_k_hat(xi)| (trend
     included) at every frequency xi: the spectra the energies and the
-    unwanted frequencies were computed from.
+    unwanted frequencies were computed from. unwanted_frequencies holds a
+    (frequency index, excess) pair for every xi where components_abs_sum
+    exceeds signal_abs by more than 1e-12 * max(signal_abs).
     """
 
     total_energy: float
@@ -263,24 +217,6 @@ def _spectral_magnitudes(d: Decomposition) -> tuple[np.ndarray, list[float], np.
     return shat, energies, summed
 
 
-def _unwanted(shat: np.ndarray, summed: np.ndarray) -> list[tuple[int, float]]:
-    allowance = OSCILLATION_RTOL * float(np.max(shat)) if shat.size else 0.0
-    excess = summed - shat
-    hits = np.nonzero(excess > allowance)[0]
-    return [(int(k), float(excess[k])) for k in hits]
-
-
-def detect_unwanted_oscillations(d: Decomposition) -> list[tuple[int, float]]:
-    """Frequencies where summed component spectra exceed the signal spectrum.
-
-    Returns (frequency index, excess) pairs for every xi with
-    sum_k |phi_k_hat(xi)| > |s_hat(xi)|, beyond a rounding allowance of
-    1e-12 * max_k |s_hat(xi_k)|. The trend counts as a component.
-    """
-    shat, _, summed = _spectral_magnitudes(d)
-    return _unwanted(shat, summed)
-
-
 def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyReport:
     """Compare the source's L1 Fourier energy against the parts' total.
 
@@ -297,13 +233,15 @@ def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyRep
     shat, energies, summed = _spectral_magnitudes(d)
     total, part_energies = energies[0], tuple(energies[1:])
     gap = float(sum(part_energies) - total)
+    excess = summed - shat
+    hits = np.nonzero(excess > OSCILLATION_RTOL * float(np.max(shat)))[0]
     return EnergyReport(
         total_energy=total,
         component_energies=part_energies,
         conservation_gap=gap,
         conserved=abs(gap) <= tol * total if total > 0 else gap == 0.0,
         tol=tol,
-        unwanted_frequencies=tuple(_unwanted(shat, summed)),
+        unwanted_frequencies=tuple((int(k), float(excess[k])) for k in hits),
         signal_abs=shat,
         components_abs_sum=summed,
     )
@@ -453,16 +391,19 @@ def pairwise_l1_angles(d: Decomposition, domain: str = "time") -> np.ndarray:
     """Matrix of generalized L1 angles between all parts of a decomposition.
 
     Rows/columns run over components then the trend. domain selects whether
-    the angle is computed on time samples or on complex DFT coefficients;
-    diagonal entries are defined as 0.
+    the angle is computed on time samples or on the DFT coefficients;
+    diagonal entries are defined as 0. The frequency domain takes one
+    batched rfft of the parts and scales its n//2+1 bins by the Hermitian
+    weights: at p = 1 every norm in the defect is a weighted sum of
+    magnitudes, so the angle on the weighted bins is the angle over all n.
     """
     if domain not in ("time", "frequency"):
         raise ValueError(f"domain must be 'time' or 'frequency', got {domain!r}")
-    parts = d.parts
-    if domain == "time":
-        vecs = [DiscreteFunction(p.samples) for p in parts]
-    else:
-        vecs = [DiscreteFunction(np.fft.fft(p.samples)) for p in parts]
+    rows = [p.samples for p in d.parts]
+    if domain == "frequency":
+        spectra = np.fft.rfft(np.stack(rows))
+        rows = spectra * _hermitian_weights(spectra.shape[1])
+    vecs = [DiscreteFunction(r) for r in rows]
     m = len(vecs)
     out = np.zeros((m, m))
     for i in range(m):

@@ -132,8 +132,10 @@ class ToeplitzOperator:
     """Real symmetric Toeplitz matrix given by its diagonal coefficients.
 
     Matrix entries are A[i, j] = diagonals[i - j]; missing offsets are zero.
-    The diagonals must be finite real numbers with t_k = t_(-k) (ValueError
-    naming the offset otherwise); offsets with |k| >= n are dropped.
+    n must be an integral number >= 1 and is stored as int (8.0 gives 8;
+    2.5 and True are a ValueError naming n). The diagonals must be finite
+    real numbers with t_k = t_(-k) (ValueError naming the offset
+    otherwise); offsets with |k| >= n are dropped.
     Construction stores them once more as a read-only float64 kernel
     h[w + k] = t_k over offsets -w..w, w the widest stored offset;
     toeplitz_matvec convolves with it. A matvec costs O(n(2w+1)) whatever
@@ -147,14 +149,16 @@ class ToeplitzOperator:
     _kernel: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        diags = {k: v for k, v in _symmetric_diagonals(self.diagonals).items() if abs(k) < self.n}
+        n = _number("n", self.n, int)
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        diags = {k: v for k, v in _symmetric_diagonals(self.diagonals).items() if abs(k) < n}
         w = max(map(abs, diags), default=0)
         kernel = np.zeros(2 * w + 1)
         for k, v in diags.items():
             kernel[w + k] = v
         kernel.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "diagonals", diags)
         object.__setattr__(self, "_kernel", kernel)
 
@@ -167,9 +171,11 @@ class ToeplitzOperator:
 
 
 def build_toeplitz(symbol: ToeplitzSymbol, n: int) -> ToeplitzOperator:
-    """Materialize the n-by-n Toeplitz matrix of a symbol's coefficients."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    """Materialize the n-by-n Toeplitz matrix of a symbol's coefficients.
+
+    n goes through ToeplitzOperator's check: an integral number >= 1, stored
+    as int (ValueError naming n otherwise).
+    """
     return ToeplitzOperator(n, dict(symbol.coefficients), symbol)
 
 
@@ -177,11 +183,13 @@ def build_toeplitz(symbol: ToeplitzSymbol, n: int) -> ToeplitzOperator:
 class CirculantMatrix:
     """Real symmetric circulant matrix stored by first column, eigenvalues cached.
 
-    The first column must be 1-d, real, finite and symmetric, c_k == c_(n-k)
-    exactly (ValueError otherwise), so the spectrum is real and even. It is
-    the only spectrum kept, read-only, and solves take their multipliers
-    from it. The column alone picks how its n//2+1 distinct values are
-    computed: a banded column (see _band_halfwidth) takes the cosine sum
+    n must be an integral number >= 1, stored as int, as for
+    ToeplitzOperator. The first column must be 1-d of length n, real,
+    finite and symmetric, c_k == c_(n-k) exactly (ValueError otherwise),
+    so the spectrum is real and even. It is the only spectrum kept,
+    read-only, and solves take their multipliers from it. The column alone
+    picks how its n//2+1 distinct values are computed: a banded column (see
+    _band_halfwidth) takes the cosine sum
     lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n) in O(n w), any other
     rfft(c).real. The rest are mirrored, lambda_(n-j) == lambda_j bit for
     bit. p records the exponent used to build the matrix when it came from
@@ -195,8 +203,9 @@ class CirculantMatrix:
     _eig: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n = _number("n", self.n, int)
         col = np.asarray(self.first_column)
-        if col.ndim != 1 or col.size != self.n or self.n < 1:
+        if col.ndim != 1 or col.size != n or n < 1:
             raise ValueError("first_column must be 1-d of length n >= 1")
         if np.iscomplexobj(col):
             raise ValueError("first_column must be real, got a complex array")
@@ -206,6 +215,7 @@ class CirculantMatrix:
         if not np.array_equal(col[1:], col[:0:-1]):
             raise ValueError("first_column must be symmetric: c_k == c_(n-k) for every k")
         col.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "first_column", col)
 
     @property
@@ -664,9 +674,10 @@ def select_p_tilde(T: ToeplitzOperator, p_grid: Sequence[float]) -> float:
     symmetric positive definite, C^(-1) T is similar to
     T^(1/2) C^(-1) T^(1/2), which by Sylvester's law of inertia has the
     inertia of C^(-1), that is of C. So C^(-1) T has a real positive
-    spectrum exactly when C is SPD.
+    spectrum exactly when C is SPD. Each grid entry must be a finite real
+    number (a bool is not one; ValueError naming the entry otherwise).
     """
-    grid = [float(p) for p in p_grid]
+    grid = [_number("p_grid entry", p) for p in p_grid]
     if not grid:
         raise ValueError("exponent grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):

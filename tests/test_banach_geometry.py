@@ -32,10 +32,16 @@ class TestPExponent:
             e = PExponent(p)
             assert 1.0 / e.p + 1.0 / e.q == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("bad", [0.5, 0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -1.0, math.nan, math.inf, True, False, "2", None])
     def test_rejects_bad_exponent(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^exponent p must be a finite number >= 1, got "):
             PExponent(bad)
+
+    def test_bool_exponent_rejected_by_every_function_taking_p(self):
+        with pytest.raises(ValueError, match="exponent p"):
+            dualize([1.0, -2.0], True)
+        with pytest.raises(ValueError, match="exponent p"):
+            angle([1.0, 0.0], [0.0, 1.0], True)
 
 
 class TestDualize:

@@ -16,7 +16,9 @@ from lportho.signal_decomposition import (
     Signal,
     check_energy_conservation,
     chirp_plus_tone,
+    fif_decompose,
     l1_fourier_energy,
+    pairwise_l1_angles,
     write_signal_csv,
 )
 
@@ -581,6 +583,27 @@ def test_traced_peak_of_the_chirp_round_trip(tmp_path, capsys):
             tracemalloc.stop()
     capsys.readouterr()
     assert (aud / "decomposition.json").read_bytes() == (dec / "decomposition.json").read_bytes()
+
+
+def test_signal_layer_takes_no_complex_fft(tmp_path, capsys, monkeypatch):
+    # the decomposer, the audit, both angle domains and the signal commands
+    # take real FFTs only
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail("took a complex FFT"))
+    s = chirp_plus_tone(256)
+    d = fif_decompose(s, [2, 6])
+    assert check_energy_conservation(d).conserved
+    for domain in ("time", "frequency"):
+        assert pairwise_l1_angles(d, domain).shape == (3, 3)
+    path = str(tmp_path / "signal.csv")
+    write_signal_csv(path, s)
+    dec, aud = tmp_path / "dec", tmp_path / "aud"
+    for argv in (
+        ["energy", path],
+        ["decompose", path, "--halfwidths", "2,6", "--out-dir", str(dec)],
+        ["audit", str(dec / "decomposition.json"), "--out-dir", str(aud)],
+    ):
+        assert run_cli(capsys, argv)[0] == 0
 
 
 class TestTopLevel:

@@ -16,11 +16,8 @@ from lportho.signal_decomposition import (
     chirp_plus_tone,
     decomposition_from_dict,
     decomposition_to_dict,
-    detect_unwanted_oscillations,
-    dft,
     energy_report_to_dict,
     fif_decompose,
-    idft,
     l1_fourier_energy,
     pairwise_l1_angles,
     read_signal_csv,
@@ -167,39 +164,15 @@ class TestSignalContainer:
             Signal(np.array([1.0, math.inf]))
 
 
-class TestTransforms:
-    def test_constant_pair(self):
-        np.testing.assert_allclose(dft(Signal([1.0, 1.0])).coefficients, [2.0, 0.0])
-
-    def test_impulse_is_flat(self):
-        s = Signal([1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(dft(s).coefficients, np.ones(4))
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        s = random_signal(rng, 64)
-        back = idft(dft(s))
-        np.testing.assert_allclose(back.samples, s.samples, atol=1e-12)
-
-    def test_parseval(self):
-        rng = np.random.default_rng(1)
-        s = random_signal(rng, 100)
-        shat = dft(s).coefficients
-        lhs = np.sum(np.abs(shat) ** 2)
-        rhs = s.n * np.sum(s.samples**2)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_idft_rejects_non_hermitian(self):
-        spec = dft(Signal(np.arange(6.0)))
-        bad = spec.coefficients.copy()
-        bad[1] += 1.0j
-        with pytest.raises(ValueError):
-            idft(type(spec)(bad))
-
-
 class TestL1Energy:
     def test_constant_signal(self):
+        # the constant pair: all of its energy, 2, at DC
         assert l1_fourier_energy(Signal([1.0, 1.0])) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 64])
+    def test_impulse_energy_is_n(self, n):
+        # an impulse has a flat spectrum: |s_hat(k)| = 1 at all n bins
+        assert l1_fourier_energy(Signal(np.eye(n)[0])) == pytest.approx(float(n), rel=1e-15)
 
     def test_alternating_signal(self):
         # all energy at the top frequency
@@ -303,7 +276,6 @@ class TestEnergyConservation:
         assert hits.size and [k for k, _ in report.unwanted_frequencies] == hits.tolist()
         for k, e in report.unwanted_frequencies:
             assert abs(e - excess[k]) <= bound * summed.max()
-        assert tuple(detect_unwanted_oscillations(d)) == report.unwanted_frequencies
 
 
 class TestUnwantedOscillations:
@@ -313,8 +285,7 @@ class TestUnwantedOscillations:
         g = Signal([0.0, -1.0])
         d = Decomposition.from_parts([f, g], Signal(np.zeros(2)))
         assert d.source.samples == pytest.approx(s.samples)
-        flagged = detect_unwanted_oscillations(d)
-        assert flagged == [(0, 2.0)]
+        assert check_energy_conservation(d).unwanted_frequencies == ((0, 2.0),)
 
     def test_mirrored_bin_is_reported(self):
         # f and -f cancel, leaving an impulse trend with a flat spectrum; the
@@ -322,9 +293,7 @@ class TestUnwantedOscillations:
         n = 8
         f = np.cos(2 * math.pi * np.arange(n) / n)
         d = Decomposition.from_parts([f, -f], np.eye(n)[0])
-        report = check_energy_conservation(d)
-        flagged = detect_unwanted_oscillations(d)
-        assert tuple(flagged) == report.unwanted_frequencies
+        flagged = check_energy_conservation(d).unwanted_frequencies
         assert [k for k, _ in flagged] == [1, 7]
         assert flagged[0][1] == flagged[1][1] == pytest.approx(8.0, rel=1e-14)
 
@@ -332,7 +301,7 @@ class TestUnwantedOscillations:
         rng = np.random.default_rng(6)
         s = random_signal(rng, 64)
         d = fif_decompose(s, [4, 11])
-        assert detect_unwanted_oscillations(d) == []
+        assert check_energy_conservation(d).unwanted_frequencies == ()
 
 
 class TestFifDecompose:
@@ -600,7 +569,37 @@ class TestFifDecompose:
         assert not caplog.records
 
 
+def full_fft_angles(d):
+    """Oracle: atan2(1, ||F+G||_1 - ||F||_1 - ||G||_1) over all n bins of the
+    parts' complex FFTs, and the bound 1e-12 (E1(f) + E1(g)) for each pair."""
+    spectra = [np.fft.fft(p.samples) for p in d.parts]
+    e1 = [float(np.sum(np.abs(F))) for F in spectra]
+    m = len(spectra)
+    want, bound = np.zeros((m, m)), np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                defect = float(np.sum(np.abs(spectra[i] + spectra[j]))) - e1[i] - e1[j]
+                want[i, j] = math.atan2(1.0, defect)
+                bound[i, j] = 1e-12 * (e1[i] + e1[j])
+    return want, bound
+
+
 class TestPairwiseAngles:
+    @pytest.mark.parametrize("n", [2, 6, 128])
+    def test_frequency_angles_match_the_full_fft(self, n):
+        # f and -f are far from L1-orthogonal (defect -2 E1(f), an obtuse
+        # angle); the random parts and the trend give angles in between.
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal(n)
+        d = Decomposition.from_parts([f, -f, rng.standard_normal(n)], rng.standard_normal(n))
+        got = pairwise_l1_angles(d, domain="frequency")
+        want, bound = full_fft_angles(d)
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.array_equal(got, got.T) and np.all(np.diag(got) == 0.0)
+        assert got[0, 1] == pytest.approx(math.atan2(1.0, -2.0 * l1_fourier_energy(Signal(f))), abs=1e-12)
+        assert got[0, 1] > math.pi / 2
+
     def test_frequency_domain_angles_are_right(self):
         rng = np.random.default_rng(11)
         s = random_signal(rng, 128)

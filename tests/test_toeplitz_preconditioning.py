@@ -179,6 +179,30 @@ class TestConstruction:
         np.testing.assert_array_equal(T.to_dense(), [[3.0, -1.0], [-1.0, 3.0]])
         np.testing.assert_array_equal(ToeplitzOperator(1, {0: 3.0, 1: -1.0, -1: -1.0}).to_dense(), [[3.0]])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), n),
+            lambda n: ToeplitzOperator(n, {0: 1.0}),
+            lambda n: CirculantMatrix(n, [1.0, 0.5, 0.5]),
+        ],
+        ids=["build_toeplitz", "operator", "circulant"],
+    )
+    @pytest.mark.parametrize("n", [2.5, True, math.nan, math.inf, "3", None])
+    def test_rejects_a_dimension_that_is_not_an_integral_number(self, build, n):
+        with pytest.raises(ValueError, match=r"^n must be a finite int, got "):
+            build(n)
+
+    def test_integral_float_dimension_is_an_int(self):
+        for n, got in (
+            (8.0, build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 8.0).n),
+            (8.0, ToeplitzOperator(8.0, {0: 1.0}).n),
+            (3.0, CirculantMatrix(3.0, [1.0, 0.5, 0.5]).n),
+            (3, CirculantMatrix(np.int64(3), [1.0, 0.5, 0.5]).n),
+        ):
+            assert type(got) is int and got == n
+        np.testing.assert_array_equal(ToeplitzOperator(2.0, {0: 1.0}).to_dense(), np.eye(2))
+
     @pytest.mark.parametrize("n", [100, 1000, 97, 1009])
     @pytest.mark.parametrize("p", [1.0, 1.4])
     def test_corrected_column_is_exactly_symmetric(self, n, p):
@@ -982,6 +1006,12 @@ class TestSelectPTilde:
             select_p_tilde(T, [])
         with pytest.raises(ValueError):
             select_p_tilde(T, [2.0, 1.5])
+
+    @pytest.mark.parametrize("grid", [[True], [1.0, True], [False, 1.0], [math.nan], ["1.0"]])
+    def test_rejects_a_grid_entry_that_is_not_a_number(self, grid):
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 16)
+        with pytest.raises(ValueError, match=r"^p_grid entry must be a finite float, got "):
+            select_p_tilde(T, grid)
 
 
 class TestSpectrumDiagnostic:
