@@ -47,7 +47,8 @@ class DiscreteFunction:
 
     Attributes:
         values: real or complex samples, length >= 1, all finite.
-        weight: positive weight applied to every sample when summing.
+        weight: weight applied to every sample when summing, a finite
+            number > 0 (a bool is not; ValueError otherwise), stored as float.
     """
 
     values: np.ndarray
@@ -65,11 +66,10 @@ class DiscreteFunction:
             vals = vals.astype(np.float64, copy=True)
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite (no NaN or Inf)")
-        if not (isinstance(self.weight, (int, float)) and math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError("weight must be a positive finite real")
+        weight = _positive("weight", self.weight)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", weight)
 
     def __len__(self) -> int:
         return self.values.size

@@ -57,7 +57,9 @@ class Signal:
     """Real samples on the uniform grid t_j = j/(2B), j = 0..n-1.
 
     The bandwidth pins the grid through n = 2B, so B defaults to n/2 and
-    any explicitly supplied value must agree with it.
+    any explicitly supplied value must agree with it. 0 means the default;
+    any other value goes through the package's tolerance rule, a finite
+    number > 0 (a bool or a string is not; ValueError otherwise).
     """
 
     samples: np.ndarray
@@ -72,8 +74,9 @@ class Signal:
             raise ValueError(f"sample count must be even and >= 2, got {n}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        b = float(self.bandwidth) if self.bandwidth else n / 2.0
-        if b <= 0 or 2.0 * b != float(n):
+        bw = self.bandwidth
+        b = n / 2.0 if not isinstance(bw, bool) and bw == 0 else _positive("bandwidth", bw)
+        if 2.0 * b != float(n):
             raise ValueError(f"bandwidth {b} incompatible with n = {n} (need n = 2B)")
         arr = arr.copy()
         arr.setflags(write=False)

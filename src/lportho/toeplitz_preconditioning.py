@@ -4,9 +4,10 @@ A banded real symmetric Toeplitz matrix generated by a trigonometric
 polynomial is approximated by the circulant that minimizes the entrywise
 p-norm of the difference. The minimizer has a per-diagonal closed form (a
 weighted power mean of the two Toeplitz offsets each circulant diagonal
-touches), so constructing it costs O(n). A Toeplitz operator keeps its
-diagonals as one dense kernel over offsets -w..w, w its widest stored
-offset, and a matrix-vector product is one convolution with it, in
+touches), computed only for the at most 2w+1 classes a band of halfwidth
+w reaches; every other entry of the column is 0. A Toeplitz operator
+keeps its diagonals as one dense kernel over offsets -w..w, w its widest
+stored offset, and a matrix-vector product is one convolution with it, in
 O(n(2w+1)). A circulant keeps one real spectrum, its eigenvalues, by a
 rule that reads only its column: the cosine sum, in O(n w), for a banded
 column (a minimizer of a banded operator), rfft for any other. At a
@@ -15,8 +16,11 @@ half-spectrum division with real FFTs; at any other n a banded SPD column
 by a banded Cholesky factorization with a low-rank correction for the
 wrapped corners, and other columns by a folded power-of-two convolution,
 so no solve takes a slow (Bluestein) FFT of length n, and nothing here a
-complex FFT. The solver is a standard preconditioned conjugate gradient
-with explicit failure reporting for singular or indefinite
+complex FFT. The solver is a preconditioned conjugate gradient that stops
+at the accuracy float64 attains (the true residual, checked when the
+recursive one reaches tol or its rounding floor, decides between
+converged, a residual replacement and stagnated), with explicit failure
+reporting for singular or indefinite
 preconditioners and indefinite operators. Symbols, operators and
 circulants hold real symmetric data only, the one kind it solves with;
 each checks its data once, at construction, and raises ValueError.
@@ -263,20 +267,24 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
     with the larger count wins outright, ties keeping t_k. p must be a
     finite number >= 1 (ValueError otherwise), as for PExponent. T is
     symmetric, so classes k and n - k solve the same scalar problem with
-    the same operations, and the column is symmetric bit for bit.
+    the same operations, and the column is symmetric bit for bit. The
+    formulas run over the classes T's stored offsets reach, at most 2w + 1
+    for a band of halfwidth w, and every other entry of the column is 0.
     """
     p = PExponent(p).p
     n = T.n
-    k = np.arange(n)
-    t_pos = np.zeros(n)  # t_pos[k] = t_k
-    t_neg = np.zeros(n)  # t_neg[k] = t_(k-n)
-    for j, v in T.diagonals.items():  # stored offsets have |j| < n
-        (t_pos if j >= 0 else t_neg)[j % n] = v
+    offsets = np.fromiter(T.diagonals, dtype=int, count=len(T.diagonals))  # stored offsets have |j| < n
+    values = np.fromiter(T.diagonals.values(), dtype=float, count=len(T.diagonals))
+    k, slot = np.unique(offsets % n, return_inverse=True)  # the classes T reaches
+    t_pos = np.zeros(k.size)  # t_pos[i] = t_(k[i])
+    t_neg = np.zeros(k.size)  # t_neg[i] = t_(k[i]-n)
+    t_pos[slot[offsets >= 0]] = values[offsets >= 0]
+    t_neg[slot[offsets < 0]] = values[offsets < 0]
 
     count_pos = (n - k).astype(float)
     count_neg = k.astype(float)
     if p == 1.0:
-        col = np.where(count_neg > count_pos, t_neg, t_pos)
+        vals = np.where(count_neg > count_pos, t_neg, t_pos)
     else:
         major_is_pos = count_pos >= count_neg
         val_major = np.where(major_is_pos, t_pos, t_neg)
@@ -285,7 +293,9 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
         small = np.minimum(count_pos, count_neg)
         with np.errstate(divide="ignore"):
             w = np.where(small > 0, (small / big) ** (1.0 / (p - 1.0)), 0.0)
-        col = (val_major + val_minor * w) / (1.0 + w)
+        vals = (val_major + val_minor * w) / (1.0 + w)
+    col = np.zeros(n)  # every class T does not reach is 0
+    col[k] = vals
     return CirculantMatrix(n, col, p, T.symbol)
 
 
@@ -531,6 +541,7 @@ def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
 
 
 STATUS_CONVERGED = "converged"
+STATUS_STAGNATED = "stagnated"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_SINGULAR = "preconditioner_singular"
 STATUS_INDEFINITE = "preconditioner_indefinite"
@@ -542,18 +553,21 @@ class SolveReport:
     """Outcome of one conjugate gradient run.
 
     relative_residuals starts at the initial residual and gains one entry
-    per iteration; it is empty only when the preconditioner was rejected as
-    singular before any work happened. p_used records the exponent behind
-    the preconditioner, None for unpreconditioned runs.
-    true_relative_residual is ||b - T x||_2 / ||b||_2 of the returned
-    solution from one matvec at exit; it can exceed the last recursive
-    residual, and it is None when there is no solution. apply_path names
-    how M^(-1) was applied: "half_spectrum", "banded_cholesky" or
-    "folded_kernel" (see _real_inverse); None when unpreconditioned or when
-    no apply was built (b = 0, singular M). matvecs counts products with T,
-    the exit one included, and applies counts applies of M^(-1) (0 when
+    per iteration, the recursive residual after it; it is empty only when
+    the preconditioner was rejected as singular before any work happened.
+    p_used records the exponent behind the preconditioner, None for
+    unpreconditioned runs. true_relative_residual is ||b - T x||_2 / ||b||_2
+    of the returned solution, from the matvec that decided the status; it
+    can exceed the last recursive residual, and it is None when there is
+    no solution. status is "converged" exactly when it meets tol.
+    apply_path names how M^(-1) was applied: "half_spectrum",
+    "banded_cholesky" or "folded_kernel" (see _real_inverse); None when
+    unpreconditioned or when no apply was built (b = 0, singular M).
+    replacements counts the times the recursive residual was replaced by
+    the true one. matvecs counts products with T, the true-residual ones
+    included, and applies counts applies of M^(-1) (0 when
     unpreconditioned): a solve that returns a solution after k iterations
-    made k + 1 matvecs and k applies.
+    made k + 1 + replacements matvecs and k applies.
     """
 
     iterations: int
@@ -565,6 +579,7 @@ class SolveReport:
     apply_path: Optional[str] = None
     matvecs: int = 0
     applies: int = 0
+    replacements: int = 0
 
 
 def pcg_solve(
@@ -576,16 +591,25 @@ def pcg_solve(
 ) -> SolveReport:
     """Conjugate gradient on T x = b, optionally preconditioned by M.
 
-    Stops when the relative residual ||b - T x||_2 / ||b||_2 drops to tol
-    (residuals tracked recursively) or after maxit iterations, default 10n;
-    the true residual of the returned solution is reported beside it. T and
-    M are real symmetric by construction. Each iteration makes one apply of
+    Residuals are tracked recursively, and the true residual
+    ||b - T x||_2 / ||b||_2 is computed, by one matvec, whenever the
+    recursive one reaches the trigger: tol, or the rounding floor
+    eps * sum|t_k| * ||x||_2 / ||b||_2 when that floor exceeds 10 tol,
+    since below it the recursive residual no longer follows the true one
+    (van der Vorst & Ye 2000; Greenbaum 1997). A true residual that meets
+    tol is converged. One that has not halved since the last replacement
+    (or since the start, at 1) is stagnated: the solution is returned, at
+    the accuracy float64 attains on this system. Otherwise it replaces the
+    recursive residual, the search direction restarts, and the iteration
+    goes on. After maxit iterations, default 10n, the status is
+    max_iterations, or converged if the true residual meets tol. T and M
+    are real symmetric by construction. Each iteration makes one apply of
     M^(-1) and one matvec (toeplitz_matvec, one convolution with T's
     kernel). The apply is built once per solve, before the first iteration,
     as in circulant_solve: half-spectrum division at 7-smooth n; at other n
     a banded Cholesky apply for a banded SPD M, a folded power-of-two
     convolution otherwise. The report's apply_path names it, and its
-    matvecs and applies count both.
+    matvecs, applies and replacements count the work.
 
     Failure rule: an argument that is malformed in itself (b complex, of
     the wrong shape or not finite, tol not a finite number > 0, maxit not
@@ -627,43 +651,57 @@ def pcg_solve(
     x = np.zeros(T.n)
     r = b.copy()
     residuals = [1.0]
-    matvecs = applies = 0
+    matvecs = applies = replacements = 0
+    floor_scale = np.finfo(float).eps * float(np.abs(T._kernel).sum()) / bnorm
+    replaced = 1.0  # the true residual at the last replacement, 1 before the first
 
-    def report(iterations: int, status: str, solution: Optional[np.ndarray]) -> SolveReport:
-        nonlocal matvecs
-        true_res = None
-        if solution is not None:
-            true_res = float(np.linalg.norm(b - toeplitz_matvec(T, solution))) / bnorm
-            matvecs += 1
+    def report(iterations: int, status: str, true_res: Optional[float] = None) -> SolveReport:
         applied = applies if M is not None else 0  # the unpreconditioned "apply" is a copy
+        solution = None if true_res is None else x
         return SolveReport(
-            iterations, tuple(residuals), status, p_used, solution, true_res, apply_path, matvecs, applied
+            iterations, tuple(residuals), status, p_used, solution, true_res, apply_path, matvecs, applied,
+            replacements,
         )
 
-    if residuals[-1] <= tol:
-        return report(0, STATUS_CONVERGED, x)
+    def true_residual() -> tuple[np.ndarray, float]:
+        nonlocal matvecs
+        matvecs += 1
+        res = b - toeplitz_matvec(T, x)
+        return res, float(np.sqrt(res @ res)) / bnorm
 
+    if residuals[-1] <= tol:
+        return report(0, STATUS_CONVERGED, true_residual()[1])
+
+    restart = True
     for it in range(1, maxit + 1):
         z = precondition(r)
         applies += 1
         rho_next = float(r @ z)
         if rho_next <= 0.0:
-            return report(it - 1, STATUS_INDEFINITE, None)
-        if it > 1:
+            return report(it - 1, STATUS_INDEFINITE)
+        if not restart:
             z += (rho_next / rho) * d  # z is fresh from the apply: the new direction is built in it
-        d, rho = z, rho_next
+        d, rho, restart = z, rho_next, False
         q = toeplitz_matvec(T, d)
         matvecs += 1
         dq = float(d @ q)
         if not dq > 0.0:
-            return report(it - 1, STATUS_OPERATOR_INDEFINITE, None)
+            return report(it - 1, STATUS_OPERATOR_INDEFINITE)
         alpha = rho / dq
         x += alpha * d
         r -= alpha * q
-        residuals.append(float(np.linalg.norm(r)) / bnorm)
-        if residuals[-1] <= tol:
-            return report(it, STATUS_CONVERGED, x)
-    return report(maxit, STATUS_MAX_ITERATIONS, x)
+        residuals.append(float(np.sqrt(r @ r)) / bnorm)
+        floor = floor_scale * float(np.sqrt(x @ x))
+        if residuals[-1] <= (floor if floor > 10.0 * tol else tol):
+            true_r, true_res = true_residual()
+            if true_res <= tol:
+                return report(it, STATUS_CONVERGED, true_res)
+            if true_res > 0.5 * replaced:
+                return report(it, STATUS_STAGNATED, true_res)
+            r, replaced, restart = true_r, true_res, True
+            replacements += 1
+    true_res = true_residual()[1]
+    return report(maxit, STATUS_CONVERGED if true_res <= tol else STATUS_MAX_ITERATIONS, true_res)
 
 
 def select_p_tilde(T: ToeplitzOperator, p_grid: Sequence[float]) -> float:
@@ -844,6 +882,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
 
 
 def _cell_text(cell: BenchmarkCell) -> str:
+    """The iteration count of a converged cell, whose true residual meets
+    tol; '#' for every other status, stagnated included."""
     if cell.report.status == STATUS_CONVERGED:
         return str(cell.report.iterations)
     return "#"

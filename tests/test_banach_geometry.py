@@ -236,9 +236,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscreteFunction(np.array([]))
 
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            DiscreteFunction(np.ones(2), weight=0.0)
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan, True, False, "1", None])
+    def test_rejects_a_weight_that_is_not_a_positive_number(self, weight):
+        # True used to build with weight 1.0
+        with pytest.raises(ValueError, match="weight"):
+            DiscreteFunction(np.ones(2), weight=weight)
+
+    @pytest.mark.parametrize("weight", [2, 2.0, np.float32(2.0), np.int64(2)])
+    def test_any_positive_real_weight_is_a_float(self, weight):
+        # np.float32(2.0) used to be a ValueError
+        f = DiscreteFunction(np.ones(2), weight=weight)
+        assert type(f.weight) is float and f.weight == 2.0
 
     def test_values_read_only(self):
         f = DiscreteFunction(np.ones(3))

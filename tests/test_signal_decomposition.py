@@ -159,6 +159,17 @@ class TestSignalContainer:
         with pytest.raises(ValueError):
             Signal(np.zeros(10), bandwidth=4.0)
 
+    @pytest.mark.parametrize("bandwidth", [True, False, "1", None, -1.0, math.inf, math.nan])
+    def test_rejects_a_bandwidth_that_is_not_a_positive_number(self, bandwidth):
+        # True and "1" used to build with bandwidth 1.0
+        with pytest.raises(ValueError, match="bandwidth"):
+            Signal(np.zeros(2), bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [0, 0.0, np.float32(0.0), 1, np.float32(1.0), np.int64(1)])
+    def test_zero_derives_the_bandwidth_and_a_number_must_agree(self, bandwidth):
+        s = Signal(np.zeros(2), bandwidth=bandwidth)
+        assert type(s.bandwidth) is float and s.bandwidth == 1.0
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Signal(np.array([1.0, math.inf]))

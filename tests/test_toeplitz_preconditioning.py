@@ -107,6 +107,18 @@ def random_symmetric_operator(rng, n: int, band: int | None = None) -> ToeplitzO
     return ToeplitzOperator(n, symmetric_diagonals(rng, range(band + 1)))
 
 
+def stencil_relative_residual(T: ToeplitzOperator, x: np.ndarray, b: np.ndarray) -> float:
+    """||b - T x|| / ||b|| for a five-diagonal T, from the stencil in extended precision."""
+    t0, t1, t2 = (np.longdouble(T.diagonals.get(k, 0.0)) for k in (0, 1, 2))
+    xl = np.asarray(x, dtype=np.longdouble)
+    r = np.asarray(b, dtype=np.longdouble) - t0 * xl
+    r[1:] -= t1 * xl[:-1]
+    r[:-1] -= t1 * xl[1:]
+    r[2:] -= t2 * xl[:-2]
+    r[:-2] -= t2 * xl[2:]
+    return float(np.sqrt(np.sum(r * r) / np.sum(np.asarray(b, dtype=np.longdouble) ** 2)))
+
+
 MODEL_PARAMS = [(1.0, 2.0, 3.0), (0.0, 2.0, 8.0), (0.0, 1.0, 0.0)]
 
 
@@ -283,6 +295,22 @@ class TestLpCirculantMinimizer:
                 continue
             want = class_minimizer_oracle(n, k, t_pos, t_neg, p)
             assert col[k] == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, 10.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    def test_far_offsets_and_short_dimensions_match_golden_section_oracle(self, n, p):
+        # n <= 2w puts two stored offsets in one class, and offset n - 1
+        # reaches the far corner, sharing class 1 with offset 1 - n
+        rng = np.random.default_rng(n)
+        operators = [build_toeplitz(ToeplitzSymbol.from_model(*params), n) for params in MODEL_PARAMS[:2]]
+        operators.append(ToeplitzOperator(n, symmetric_diagonals(rng, {0, 1, n - 1})))
+        for T in operators:
+            col = lp_circulant_minimizer(T, p).first_column
+            d = T.diagonals
+            for k in range(n):
+                t_pos, t_neg = float(d.get(k, 0.0)), float(d.get(k - n, 0.0))
+                want = class_minimizer_oracle(n, k, t_pos, t_neg, p)
+                assert col[k] == pytest.approx(want, abs=1e-8), (T.diagonals, k)
 
     def test_p2_is_frobenius_projection(self):
         rng = np.random.default_rng(1)
@@ -934,6 +962,7 @@ class TestPcgSolve:
         report = pcg_solve(T, np.ones(64), M, maxit=maxit)
         k = report.iterations
         assert report.status == ("converged" if maxit is None else "max_iterations")
+        assert report.replacements == 0
         assert report.matvecs == k + 1 == len(calls)
         if M is None:
             assert report.applies == 0
@@ -948,12 +977,89 @@ class TestPcgSolve:
         report = pcg_solve(T, np.ones(100), lp_circulant_minimizer(T, 1.0))  # singular
         assert (report.status, report.matvecs, report.applies) == ("preconditioner_singular", 0, 0)
 
+    def test_replacement_counts_one_matvec(self, monkeypatch):
+        # stiff (1000, 3): the recursive residual reaches tol while the true
+        # one is still above it, so the true one replaces it once
+        T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 1000)
+        calls = []
+        matvec = tp.toeplitz_matvec
+        monkeypatch.setattr(tp, "toeplitz_matvec", lambda T, x: calls.append(x.size) or matvec(T, x))
+        report = pcg_solve(T, np.ones(1000), lp_circulant_minimizer(T, 3.0))
+        assert report.status == "converged" and report.replacements >= 1
+        assert report.matvecs == report.iterations + 1 + report.replacements == len(calls)
+        assert report.applies == report.iterations
+        assert report.true_relative_residual <= DEFAULT_PCG_TOL
+        assert stencil_relative_residual(T, report.solution, np.ones(1000)) <= DEFAULT_PCG_TOL
+
+    def test_stagnated_returns_its_solution(self):
+        # at tol 1e-13 rounding stops the stiff n = 100 solve short of tol
+        T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 100)
+        b = np.ones(100)
+        report = pcg_solve(T, b, lp_circulant_minimizer(T, 1.6), tol=1e-13)
+        assert report.status == "stagnated" and report.replacements >= 1
+        assert report.matvecs == report.iterations + 1 + report.replacements
+        want = np.linalg.norm(b - T.to_dense() @ report.solution) / np.linalg.norm(b)
+        assert report.true_relative_residual == pytest.approx(want, rel=1e-3)
+        assert 1e-13 < report.true_relative_residual < 1e-9
+
+    def test_maxit_exit_meeting_tol_is_converged(self):
+        # The recursive and true residuals differ in their last digits. A
+        # tol between them, with the true one below, stops no iteration
+        # early, so the solve runs to maxit; the exit status must still
+        # follow the true residual.
+        T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 64)
+        b = np.ones(64)
+        for k in range(1, 40):
+            report = pcg_solve(T, b, None, maxit=k)
+            recursive, true = report.relative_residuals[-1], report.true_relative_residual
+            if true < recursive < min(report.relative_residuals[:-1]):
+                break
+        else:
+            pytest.fail("no iteration whose true residual is below its recursive one")
+        tol = true + (recursive - true) / 2
+        report = pcg_solve(T, b, None, tol=tol, maxit=k)
+        assert (report.status, report.iterations, report.matvecs) == ("converged", k, k + 1)
+        assert report.true_relative_residual == true
+        assert pcg_solve(T, b, None, tol=true / 2, maxit=k).status == "max_iterations"
+
     def test_true_residual_absent_without_solution(self):
         T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 100)
         for p in (1.0, 1.4):  # singular, then indefinite
             report = pcg_solve(T, np.ones(100), lp_circulant_minimizer(T, p))
             assert report.solution is None and report.true_relative_residual is None
         assert pcg_solve(T, np.zeros(100)).true_relative_residual == 0.0
+
+
+class TestAttainableAccuracy:
+    @pytest.mark.parametrize("params", [(1, 2, 3), (0, 2, 8)], ids=["gentle", "stiff"])
+    @pytest.mark.parametrize("correction", ["off", "on"])
+    def test_every_paper_cell_status_is_honest(self, params, correction):
+        # converged exactly when the extended-precision residual meets tol
+        n_list = (100, 400, 700, 1000)
+        result = run_benchmark(BenchmarkConfig(*params, n_list, PAPER_P_GRID, correction=correction))
+        solved = [cell for cell in result.cells if cell.report.solution is not None]
+        assert len(solved) >= 3 * len(n_list)
+        for cell in solved:
+            T = build_toeplitz(ToeplitzSymbol.from_model(*params), cell.n)
+            residual = stencil_relative_residual(T, cell.report.solution, np.ones(cell.n))
+            assert (cell.report.status == "converged") == (residual <= DEFAULT_PCG_TOL), (cell.n, cell.p, residual)
+
+    def test_stiff_large_solve_stagnates_near_the_banded_cholesky_oracle(self):
+        # No float64 method reaches tol here: a banded Cholesky solve
+        # (LAPACK, through scipy) sets the attainable residual. The iteration
+        # count follows the BLAS thread count, so only a bound is pinned.
+        n = 2**17
+        T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), n)
+        b = np.ones(n)
+        report = pcg_solve(T, b, lp_circulant_minimizer(T, select_p_tilde(T, PAPER_P_GRID)))
+        band = np.zeros((3, n))
+        for k in range(3):
+            band[k, : n - k] = T.diagonals[k]
+        oracle = stencil_relative_residual(T, scipy.linalg.solveh_banded(band, b, lower=True), b)
+        got = stencil_relative_residual(T, report.solution, b)
+        assert report.status == "stagnated" and report.iterations < 35
+        assert DEFAULT_PCG_TOL < oracle <= got <= 10 * oracle
+        assert report.true_relative_residual == pytest.approx(got, rel=0.05)
 
 
 class TestSelectPTilde:
@@ -1153,6 +1259,11 @@ class TestBenchmark:
         assert row[1] == "#" and row[2] == "#"
         assert row[3] == "11"
         assert "#" in md_text
+
+    def test_stagnated_cells_render_as_hash(self):
+        result = run_benchmark(BenchmarkConfig(0, 2, 8, (100,), (1.6,), tol=1e-13))
+        assert [cell.report.status for cell in result.cells] == ["stagnated", "stagnated"]
+        assert render_table_csv(result).splitlines()[1] == "100,#,#"
 
     def test_correction_rescues_singular_cell(self):
         base = BenchmarkConfig(0, 2, 8, (100,), (1.0,))
