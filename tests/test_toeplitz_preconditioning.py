@@ -280,11 +280,9 @@ class TestLpCirculantMinimizer:
             C.first_column, [23.0, -14.0, 3.0, 0.0, 0.0, 0.0, 3.0, -14.0]
         )
 
-    @pytest.mark.parametrize("params", MODEL_PARAMS)
-    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, 10.0])
-    @pytest.mark.parametrize("n", [10, 64])
-    def test_matches_golden_section_oracle(self, params, p, n):
-        T = build_toeplitz(ToeplitzSymbol.from_model(*params), n)
+    @staticmethod
+    def assert_matches_golden_section_oracle(T: ToeplitzOperator, p: float) -> None:
+        n = T.n
         col = lp_circulant_minimizer(T, p).first_column
         d = T.diagonals
         for k in range(n):
@@ -294,23 +292,20 @@ class TestLpCirculantMinimizer:
                 assert col[k] == 0.0
                 continue
             want = class_minimizer_oracle(n, k, t_pos, t_neg, p)
-            assert col[k] == pytest.approx(want, abs=1e-8)
+            assert col[k] == pytest.approx(want, abs=1e-8), (d, k)
+
+    @pytest.mark.parametrize("params", MODEL_PARAMS)
+    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, 10.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 64])  # n <= 2w puts two stored offsets in one class
+    def test_matches_golden_section_oracle(self, params, p, n):
+        self.assert_matches_golden_section_oracle(build_toeplitz(ToeplitzSymbol.from_model(*params), n), p)
 
     @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, 10.0])
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
-    def test_far_offsets_and_short_dimensions_match_golden_section_oracle(self, n, p):
-        # n <= 2w puts two stored offsets in one class, and offset n - 1
-        # reaches the far corner, sharing class 1 with offset 1 - n
-        rng = np.random.default_rng(n)
-        operators = [build_toeplitz(ToeplitzSymbol.from_model(*params), n) for params in MODEL_PARAMS[:2]]
-        operators.append(ToeplitzOperator(n, symmetric_diagonals(rng, {0, 1, n - 1})))
-        for T in operators:
-            col = lp_circulant_minimizer(T, p).first_column
-            d = T.diagonals
-            for k in range(n):
-                t_pos, t_neg = float(d.get(k, 0.0)), float(d.get(k - n, 0.0))
-                want = class_minimizer_oracle(n, k, t_pos, t_neg, p)
-                assert col[k] == pytest.approx(want, abs=1e-8), (T.diagonals, k)
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_far_offset_matches_golden_section_oracle(self, n, p):
+        # offset n - 1 reaches the far corner and shares class 1 with offset 1 - n
+        T = ToeplitzOperator(n, symmetric_diagonals(np.random.default_rng(n), {0, 1, n - 1}))
+        self.assert_matches_golden_section_oracle(T, p)
 
     def test_p2_is_frobenius_projection(self):
         rng = np.random.default_rng(1)
