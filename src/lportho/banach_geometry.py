@@ -74,10 +74,6 @@ class DiscreteFunction:
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
-
 
 FunctionLike = Union[DiscreteFunction, Sequence[float], np.ndarray]
 
@@ -146,12 +142,11 @@ def _check_compatible(f: DiscreteFunction, g: DiscreteFunction) -> None:
 class GeometryResult:
     """Everything the pairing says about one (f, g) pair.
 
-    defect equals 2 * weak_inner_product by algebra, and cot_angle equals
-    the defect (the angle convention drops the 1/2 prefactor).
+    defect equals 2 * weak_inner_product by algebra, and it is also
+    cot(angle): the angle convention drops the 1/2 prefactor.
     """
 
     weak_inner_product: float
-    cot_angle: float
     angle: float
     defect: float
 
@@ -285,7 +280,6 @@ def pair_geometry(f: FunctionLike, g: FunctionLike, p: ExponentLike) -> Geometry
     defect = _defect(fn.values, gn.values, s, fn.weight, pv)
     return GeometryResult(
         weak_inner_product=wip,
-        cot_angle=defect,
         angle=math.atan2(1.0, defect),
         defect=defect,
     )

@@ -56,14 +56,10 @@ class InconsistentDecomposition(ValueError):
 class Signal:
     """Real samples on the uniform grid t_j = j/(2B), j = 0..n-1.
 
-    The bandwidth pins the grid through n = 2B, so B defaults to n/2 and
-    any explicitly supplied value must agree with it. 0 means the default;
-    any other value goes through the package's tolerance rule, a finite
-    number > 0 (a bool or a string is not; ValueError otherwise).
+    The samples fix everything else: n = 2B, so the bandwidth is n/2.
     """
 
     samples: np.ndarray
-    bandwidth: float = 0.0  # 0 means "derive from the sample count"
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -74,22 +70,17 @@ class Signal:
             raise ValueError(f"sample count must be even and >= 2, got {n}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        bw = self.bandwidth
-        b = n / 2.0 if not isinstance(bw, bool) and bw == 0 else _positive("bandwidth", bw)
-        if 2.0 * b != float(n):
-            raise ValueError(f"bandwidth {b} incompatible with n = {n} (need n = 2B)")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "bandwidth", b)
 
     @property
     def n(self) -> int:
         return self.samples.size
 
     @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n) / (2.0 * self.bandwidth)
+    def bandwidth(self) -> float:
+        return self.n / 2.0
 
 
 def _hermitian_weights(bins: int) -> np.ndarray:
@@ -417,23 +408,13 @@ def pairwise_l1_angles(d: Decomposition, domain: str = "time") -> np.ndarray:
     return out
 
 
-def chirp_plus_tone(
-    n: int,
-    tone_freq: float | None = None,
-    chirp_start: float | None = None,
-    chirp_end: float | None = None,
-) -> Signal:
+def chirp_plus_tone(n: int) -> Signal:
     """A low tone plus a linear chirp sweeping a higher band, on n samples.
 
-    Defaults scale with n so the two pieces stay spectrally separated:
-    tone at ~n/50, chirp sweeping ~n/10 to ~n/5 over the unit interval.
+    Both scale with n so the two pieces stay spectrally separated: a tone
+    at max(1, n/50), a chirp sweeping n/10 to n/5 over the unit interval.
     """
-    if tone_freq is None:
-        tone_freq = max(1.0, n / 50.0)
-    if chirp_start is None:
-        chirp_start = n / 10.0
-    if chirp_end is None:
-        chirp_end = n / 5.0
+    tone_freq, chirp_start, chirp_end = max(1.0, n / 50.0), n / 10.0, n / 5.0
     t = np.arange(n) / n
     tone = np.cos(2.0 * np.pi * tone_freq * t)
     chirp = np.cos(2.0 * np.pi * (chirp_start * t + 0.5 * (chirp_end - chirp_start) * t * t))
@@ -441,13 +422,19 @@ def chirp_plus_tone(
 
 
 def read_signal_csv(path: str) -> Signal:
-    """Load a signal from CSV: one sample per line, optional '# B=<value>'."""
+    """Load a signal from CSV: one sample per line, optional '# B=<value>'.
+
+    The samples fix the bandwidth, n/2. A header is checked against it:
+    a finite number > 0 equal to n/2 (ValueError otherwise).
+    """
     samples, comments = read_numbers(path)
-    bandwidth = 0.0
+    s = Signal(samples)
     for body in comments:
         if body.upper().startswith("B="):
-            bandwidth = float(body[2:])
-    return Signal(samples, bandwidth)
+            b = _positive("bandwidth", float(body[2:]))
+            if 2.0 * b != s.n:
+                raise ValueError(f"bandwidth {b} incompatible with n = {s.n} (need n = 2B)")
+    return s
 
 
 def write_signal_csv(path: str, s: Signal) -> None:

@@ -33,6 +33,7 @@ iteration-count tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -187,29 +188,26 @@ def build_toeplitz(symbol: ToeplitzSymbol, n: int) -> ToeplitzOperator:
 class CirculantMatrix:
     """Real symmetric circulant matrix stored by first column, eigenvalues cached.
 
-    n must be an integral number >= 1, stored as int, as for
-    ToeplitzOperator. The first column must be 1-d of length n, real,
-    finite and symmetric, c_k == c_(n-k) exactly (ValueError otherwise),
-    so the spectrum is real and even. It is the only spectrum kept,
-    read-only, and solves take their multipliers from it. The column alone
-    picks how its n//2+1 distinct values are computed: a banded column (see
-    _band_halfwidth) takes the cosine sum
+    The first column fixes the matrix, and its length is n. It must be
+    1-d of length n >= 1, real, finite and symmetric, c_k == c_(n-k)
+    exactly (ValueError otherwise), so the spectrum is real and even. It is
+    the only spectrum kept, read-only, and solves take their multipliers
+    from it. The column alone picks how its n//2+1 distinct values are
+    computed: a banded column (see _band_halfwidth) takes the cosine sum
     lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n) in O(n w), any other
     rfft(c).real. The rest are mirrored, lambda_(n-j) == lambda_j bit for
     bit. p records the exponent used to build the matrix when it came from
     a minimization.
     """
 
-    n: int
     first_column: np.ndarray
     p: Optional[float] = None
     symbol: Optional[ToeplitzSymbol] = None
     _eig: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = _number("n", self.n, int)
         col = np.asarray(self.first_column)
-        if col.ndim != 1 or col.size != n or n < 1:
+        if col.ndim != 1 or col.size < 1:
             raise ValueError("first_column must be 1-d of length n >= 1")
         if np.iscomplexobj(col):
             raise ValueError("first_column must be real, got a complex array")
@@ -219,8 +217,11 @@ class CirculantMatrix:
         if not np.array_equal(col[1:], col[:0:-1]):
             raise ValueError("first_column must be symmetric: c_k == c_(n-k) for every k")
         col.setflags(write=False)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "first_column", col)
+
+    @property
+    def n(self) -> int:
+        return self.first_column.size
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -296,7 +297,7 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
         vals = (val_major + val_minor * w) / (1.0 + w)
     col = np.zeros(n)  # every class T does not reach is 0
     col[k] = vals
-    return CirculantMatrix(n, col, p, T.symbol)
+    return CirculantMatrix(col, p, T.symbol)
 
 
 def circulant_spectrum(C: CirculantMatrix) -> np.ndarray:
@@ -344,7 +345,7 @@ def strang_type_correction(C: CirculantMatrix) -> CirculantMatrix:
     if np.all(good):
         return C
     col = np.fft.irfft(np.where(lam != 0.0, np.abs(lam), np.min(lam[good])), n)[: n // 2 + 1]
-    return CirculantMatrix(n, np.concatenate([col, col[1 : (n + 1) // 2][::-1]]), C.p, C.symbol)
+    return CirculantMatrix(np.concatenate([col, col[1 : (n + 1) // 2][::-1]]), C.p, C.symbol)
 
 
 def toeplitz_matvec(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
@@ -555,11 +556,11 @@ class SolveReport:
     relative_residuals starts at the initial residual and gains one entry
     per iteration, the recursive residual after it; it is empty only when
     the preconditioner was rejected as singular before any work happened.
-    p_used records the exponent behind the preconditioner, None for
-    unpreconditioned runs. true_relative_residual is ||b - T x||_2 / ||b||_2
-    of the returned solution, from the matvec that decided the status; it
-    can exceed the last recursive residual, and it is None when there is
-    no solution. status is "converged" exactly when it meets tol.
+    true_relative_residual is ||b - T x||_2 / ||b||_2 of the returned
+    solution, from the matvec that decided the status; it can exceed the
+    last recursive residual, and it is None when there is no solution.
+    status is "converged" exactly when it meets tol. The exponent behind
+    the preconditioner is M.p, on the circulant the solve was given.
     apply_path names how M^(-1) was applied: "half_spectrum",
     "banded_cholesky" or "folded_kernel" (see _real_inverse); None when
     unpreconditioned or when no apply was built (b = 0, singular M).
@@ -573,7 +574,6 @@ class SolveReport:
     iterations: int
     relative_residuals: tuple[float, ...]
     status: str
-    p_used: Optional[float]
     solution: Optional[np.ndarray] = None
     true_relative_residual: Optional[float] = None
     apply_path: Optional[str] = None
@@ -634,11 +634,10 @@ def pcg_solve(
         raise ValueError(f"maxit must be >= 0, got {maxit}")
     if M is not None and M.n != T.n:
         raise ValueError(f"preconditioner dimension {M.n} differs from operator dimension {T.n}")
-    p_used = M.p if M is not None else None
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return SolveReport(0, (0.0,), STATUS_CONVERGED, p_used, np.zeros(T.n), 0.0)
+        return SolveReport(0, (0.0,), STATUS_CONVERGED, np.zeros(T.n), 0.0)
 
     if M is None:
         apply_path, precondition = None, np.copy  # a fresh array: the updates below write r in place
@@ -646,7 +645,7 @@ def pcg_solve(
         try:
             apply_path, precondition = _real_inverse(M)
         except PreconditionerSingular:
-            return SolveReport(0, (), STATUS_SINGULAR, p_used, None)
+            return SolveReport(0, (), STATUS_SINGULAR)
 
     x = np.zeros(T.n)
     r = b.copy()
@@ -659,15 +658,14 @@ def pcg_solve(
         applied = applies if M is not None else 0  # the unpreconditioned "apply" is a copy
         solution = None if true_res is None else x
         return SolveReport(
-            iterations, tuple(residuals), status, p_used, solution, true_res, apply_path, matvecs, applied,
-            replacements,
+            iterations, tuple(residuals), status, solution, true_res, apply_path, matvecs, applied, replacements
         )
 
     def true_residual() -> tuple[np.ndarray, float]:
         nonlocal matvecs
         matvecs += 1
         res = b - toeplitz_matvec(T, x)
-        return res, float(np.sqrt(res @ res)) / bnorm
+        return res, math.sqrt(res @ res) / bnorm
 
     if residuals[-1] <= tol:
         return report(0, STATUS_CONVERGED, true_residual()[1])
@@ -690,8 +688,8 @@ def pcg_solve(
         alpha = rho / dq
         x += alpha * d
         r -= alpha * q
-        residuals.append(float(np.sqrt(r @ r)) / bnorm)
-        floor = floor_scale * float(np.sqrt(x @ x))
+        residuals.append(math.sqrt(r @ r) / bnorm)
+        floor = floor_scale * math.sqrt(x @ x)
         if residuals[-1] <= (floor if floor > 10.0 * tol else tol):
             true_r, true_res = true_residual()
             if true_res <= tol:

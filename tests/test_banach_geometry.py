@@ -258,9 +258,8 @@ class TestPairGeometry:
     def test_fields_cohere(self):
         result = pair_geometry([1], [-1], 1)
         assert isinstance(result, GeometryResult)
-        assert result.defect == result.cot_angle
         assert result.defect == pytest.approx(2.0 * result.weak_inner_product, abs=1e-14)
-        assert result.angle == pytest.approx(math.atan2(1.0, result.defect), abs=1e-15)
+        assert result.angle == math.atan2(1.0, result.defect)  # cot(angle) is the defect
 
     def test_complex_pair_real_outputs(self):
         f = np.array([1 + 1j, 2 - 1j])

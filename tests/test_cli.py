@@ -78,6 +78,14 @@ class TestEnergy:
         doc = json.loads(out)
         assert doc == {"n": 2, "bandwidth": 1, "energy": 2}
 
+    @pytest.mark.parametrize("header", ["0", "nan", "abc", "3"])
+    def test_header_other_than_half_the_length(self, tmp_path, capsys, header):
+        s = tmp_path / "s.csv"
+        s.write_text(f"# B={header}\n1.0\n1.0\n")
+        code, out, err = run_cli(capsys, ["energy", str(s)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["energy", str(tmp_path / "nope.csv")])
         assert code == 1
