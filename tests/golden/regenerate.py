@@ -10,9 +10,16 @@ The record holds, with the numpy and scipy versions it was made with:
   on, n in N_LIST, p in P_LIST and the unpreconditioned cell ("n.p.");
 - p_tilde: select_p_tilde over P_LIST for each model and n;
 - stdout: what `energy`, `angle --p 1.5`, `ortho --p 1`,
-  `decompose --halfwidths 2,8` and `precond-bench` (stiff, n = 100)
-  print on seeded inputs (a 2^10-sample chirp with noise, written with
-  its `# B=` header, and two vectors of 50 samples).
+  `decompose --halfwidths 2,8`, `audit --out-dir` of that decomposition,
+  `precond-bench` (stiff, n = 100) and `spectrum` (SPECTRA) print on
+  seeded inputs (a 2^10-sample chirp with noise, written with its `# B=`
+  header, and two vectors of 50 samples);
+- files: the sha256 of every file those `decompose`, `audit`,
+  `precond-bench` and `spectrum` runs write, by command and path, except
+  UNPINNED: manifest.json holds a timestamp and absolute paths, and the
+  last bits of preconditioned_spectrum.csv, a dense eigensolver's output,
+  follow the BLAS thread count (the gentle n = 250 file differs between
+  one and two threads).
 
 tests/test_golden.py compares a fresh record() with the file exactly. A
 change that moves anything reruns this script and lists what it printed
@@ -22,6 +29,7 @@ change that moves anything reruns this script and lists what it printed
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -47,6 +55,18 @@ GOLDEN = Path(__file__).with_name("paper_tables.json")
 MODELS = {"gentle": (1.0, 2.0, 3.0), "stiff": (0.0, 2.0, 8.0)}
 N_LIST = (100, 400, 700, 1000)
 P_LIST = (1.0, 1.4, 1.6, 1.8, 3.0, 5.0, 10.0)
+UNPINNED = ("manifest.json", "preconditioned_spectrum.csv")  # files without a digest (see above)
+# `spectrum` runs: stiff and SPD (both spectra), stiff and indefinite with
+# the correction, gentle at p = 1, and stiff with no preconditioned
+# spectrum (n above the dense diagnostic limit).
+SPECTRA = {
+    "stiff n=200 p=1.6": ["--alpha", "0", "--beta", "2", "--gamma", "8", "--n", "200", "--p", "1.6"],
+    "stiff n=200 p=1.4 corrected": [
+        "--alpha", "0", "--beta", "2", "--gamma", "8", "--n", "200", "--p", "1.4", "--correction", "on",
+    ],
+    "gentle n=250 p=1": ["--alpha", "1", "--beta", "2", "--gamma", "3", "--n", "250", "--p", "1"],
+    "stiff n=5000 p=1.6": ["--alpha", "0", "--beta", "2", "--gamma", "8", "--n", "5000", "--p", "1.6"],
+}
 
 
 def _cells() -> dict:
@@ -79,7 +99,21 @@ def _stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def _cli_outputs() -> dict:
+def _digests(root: str) -> dict:
+    """The sha256 of every file under root but the UNPINNED ones, by path
+    relative to root."""
+    digests = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            if name not in UNPINNED:
+                path = os.path.join(folder, name)
+                with open(path, "rb") as fh:
+                    digests[os.path.relpath(path, root).replace(os.sep, "/")] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def _cli_outputs() -> tuple[dict, dict]:
+    """The stdout of each CLI run, and the digests of the files each wrote."""
     n = 2**10
     chirp = chirp_plus_tone(n).samples + 0.1 * np.random.default_rng(0).standard_normal(n)
     f, g = (np.random.default_rng(seed).standard_normal(50) for seed in (1, 2))
@@ -91,34 +125,48 @@ def _cli_outputs() -> dict:
                 fh.writelines(f"{v:.17g}\n" for v in values)
         with open(config, "w", encoding="utf-8") as fh:
             json.dump({"alpha": 0, "beta": 2, "gamma": 8, "n_list": [100], "p_list": list(P_LIST)}, fh)
-        return {
+        dirs = {"decompose": "dec", "audit": "aud", "precond-bench stiff n=100": "bench"}
+        dirs.update({f"spectrum {label}": f"spec{i}" for i, label in enumerate(SPECTRA)})
+        dirs = {label: os.path.join(tmp, d) for label, d in dirs.items()}
+        stdout = {
             "energy": _stdout(["energy", signal]),
             "angle --p 1.5": _stdout(["angle", f_path, g_path, "--p", "1.5"]),
             "ortho --p 1": _stdout(["ortho", f_path, g_path, "--p", "1"]),
             "decompose --halfwidths 2,8": _stdout(
-                ["decompose", signal, "--halfwidths", "2,8", "--out-dir", os.path.join(tmp, "dec")]
+                ["decompose", signal, "--halfwidths", "2,8", "--out-dir", dirs["decompose"]]
+            ),
+            "audit": _stdout(
+                ["audit", os.path.join(dirs["decompose"], "decomposition.json"), "--out-dir", dirs["audit"]]
             ),
             "precond-bench stiff n=100": _stdout(
-                ["precond-bench", "--config", config, "--out-dir", os.path.join(tmp, "bench")]
+                ["precond-bench", "--config", config, "--out-dir", dirs["precond-bench stiff n=100"]]
             ),
         }
+        for label, argv in SPECTRA.items():
+            stdout[f"spectrum {label}"] = _stdout(["spectrum", *argv, "--out-dir", dirs[f"spectrum {label}"]])
+        files = {
+            f"{label}: {path}": digest for label, root in dirs.items() for path, digest in _digests(root).items()
+        }
+        return stdout, files
 
 
 def record() -> dict:
     """The golden record as this checkout computes it."""
+    stdout, files = _cli_outputs()
     return {
         "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "cells": _cells(),
         "p_tilde": _p_tilde(),
-        "stdout": _cli_outputs(),
+        "stdout": stdout,
+        "files": files,
     }
 
 
 def moved(old: dict, new: dict) -> list[str]:
-    """One line per cell, p-tilde or stdout entry that differs between two
-    records, or that only one of them has; versions are not compared."""
+    """One line per cell, p-tilde, stdout or file entry that differs between
+    two records, or that only one of them has; versions are not compared."""
     lines = []
-    for part in ("cells", "p_tilde", "stdout"):
+    for part in ("cells", "p_tilde", "stdout", "files"):
         a, b = old.get(part, {}), new.get(part, {})
         for key in list(a) + [k for k in b if k not in a]:
             if a.get(key) != b.get(key):
