@@ -13,8 +13,9 @@ Subcommands:
 Every file-producing command drops a manifest.json alongside its outputs;
 reruns with the same manifest are bit-identical except for the timestamp.
 All floating-point output carries 17 significant digits. Numeric tables
-are streamed to their files from the float64 arrays, a chunk of rows at a
-time (_serialize.write_rows); each file's values are checked before the
+are formatted from the float64 arrays by one vectorised kernel, the exact
+bytes of "%.17g", and streamed to their files a block of rows
+(_serialize.CHUNK) at a time; each file's values are checked before the
 file is opened, so a failed command leaves no partial file. Set
 LPORTHO_LOG to DEBUG/INFO/WARNING to control verbosity.
 """
@@ -33,14 +34,16 @@ import numpy as np
 
 from . import __version__
 from ._serialize import (
+    CHUNK,
+    Rows,
     Writer,
     check_finite,
     dumps_json,
     format_float,
     json_writer,
     read_numbers,
+    rows_text,
     table_writer,
-    write_rows,
 )
 from .banach_geometry import DEFAULT_ORTHO_TOL, DiscreteFunction, GeometryResult, is_orthogonal, pair_geometry
 from .signal_decomposition import (
@@ -168,9 +171,9 @@ def _spectrum_comparison(report: EnergyReport) -> Writer:
     sum_k |phi_k_hat(xi)| for xi = 0..n-1.
 
     The spectra of real signals are mirrored, bin n-k a copy of bin k
-    (_unfold), so only the m = n//2+1 distinct rows are formatted and row
-    n-k reuses row k's text. ValueError, before anything is written, unless
-    the values are finite and mirrored.
+    (_unfold), so only the m = n//2+1 distinct rows are formatted, a block
+    of CHUNK rows at a time, and row n-k takes row k's bytes. ValueError,
+    before anything is written, unless the values are finite and mirrored.
     """
     table = np.stack([report.signal_abs, report.components_abs_sum])
     n, m = table.shape[1], table.shape[1] // 2 + 1
@@ -179,11 +182,19 @@ def _spectrum_comparison(report: EnergyReport) -> Writer:
         raise ValueError("spectrum comparison: bin n-k differs from bin k, so the spectra are not of real signals")
 
     def write_table(write) -> None:
-        values: list[str] = []
-        write_rows(lambda text: values.extend(text.splitlines()), "%.17g,%.17g\n", table[0, :m], table[1, :m])
+        spectra = Rows("%.17g,%.17g\n", table[0, :m], table[1, :m])
+        xi = Rows("%d,", range(n))
+        starts = range(0, m, CHUNK)
+        distinct = [spectra.block(start, start + CHUNK) for start in starts]
         write("xi,signal_abs,components_abs_sum\n")
-        write_rows(write, "%d,%s\n", range(m), values)
-        write_rows(write, "%d,%s\n", range(m, n), values[n - m:0:-1])
+        for start, block in zip(starts, distinct):
+            write(rows_text(np.hstack([xi.block(start, start + len(block)), block])))
+        # Rows m..n-1 are distinct rows n-m..1: each block's share, reversed, last block first.
+        for start, block in zip(reversed(starts), reversed(distinct)):
+            low, high = max(start, 1), min(start + len(block), n - m + 1)
+            if low < high:
+                mirrored = block[low - start:high - start][::-1]
+                write(rows_text(np.hstack([xi.block(n - high + 1, n - low + 1), mirrored])))
 
     return write_table
 

@@ -197,7 +197,8 @@ class CirculantMatrix:
     lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n) in O(n w), any other
     rfft(c).real. The rest are mirrored, lambda_(n-j) == lambda_j bit for
     bit. p records the exponent used to build the matrix when it came from
-    a minimization.
+    a minimization; it follows PExponent's rule, a finite number >= 1 that
+    is not a bool (ValueError otherwise), and is stored as a float.
     """
 
     first_column: np.ndarray
@@ -218,6 +219,8 @@ class CirculantMatrix:
             raise ValueError("first_column must be symmetric: c_k == c_(n-k) for every k")
         col.setflags(write=False)
         object.__setattr__(self, "first_column", col)
+        if self.p is not None:
+            object.__setattr__(self, "p", PExponent(self.p).p)
 
     @property
     def n(self) -> int:

@@ -10,6 +10,7 @@ import scipy.sparse
 
 import lportho.toeplitz_preconditioning as tp
 from lportho._serialize import dumps_json
+from lportho.banach_geometry import PExponent
 from lportho.toeplitz_preconditioning import (
     DEFAULT_PCG_TOL,
     DENSE_DIAGNOSTIC_LIMIT,
@@ -182,6 +183,20 @@ class TestConstruction:
     def test_rejects_complex_or_nonsymmetric_column(self, col, match):
         with pytest.raises(ValueError, match=match):
             CirculantMatrix(col)
+
+    @pytest.mark.parametrize("p", ["x", True, math.nan, math.inf, 0.5], ids=["str", "bool", "nan", "inf", "below_one"])
+    def test_p_follows_the_exponent_rule(self, p):
+        with pytest.raises(ValueError, match="exponent p") as got:
+            CirculantMatrix(np.array([2.0, 1.0, 1.0]), p)
+        with pytest.raises(ValueError) as want:
+            PExponent(p)
+        assert str(got.value) == str(want.value)
+
+    def test_p_is_stored_as_the_exponent_float(self):
+        C = CirculantMatrix(np.array([2.0, 1.0, 1.0]), np.float64(1.5))
+        assert type(C.p) is float and C.p == 1.5
+        assert CirculantMatrix(np.array([2.0, 1.0, 1.0]), 2).p == 2.0
+        assert CirculantMatrix(np.array([2.0, 1.0, 1.0])).p is None
 
     def test_one_and_two_dimensional_cases(self):
         for col in ([3.0], [3.0, -1.0]):
