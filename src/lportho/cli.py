@@ -175,17 +175,17 @@ def _spectrum_comparison(report: EnergyReport) -> Writer:
     of CHUNK rows at a time, and row n-k takes row k's bytes. ValueError,
     before anything is written, unless the values are finite and mirrored.
     """
-    table = np.stack([report.signal_abs, report.components_abs_sum])
-    n, m = table.shape[1], table.shape[1] // 2 + 1
-    check_finite(table)
-    if not np.array_equal(table[:, m:], table[:, n - m:0:-1]):
+    spectra = (report.signal_abs, report.components_abs_sum)
+    n, m = spectra[0].size, spectra[0].size // 2 + 1
+    check_finite(*spectra)
+    if not all(np.array_equal(s[m:], s[n - m:0:-1]) for s in spectra):
         raise ValueError("spectrum comparison: bin n-k differs from bin k, so the spectra are not of real signals")
 
     def write_table(write) -> None:
-        spectra = Rows("%.17g,%.17g\n", table[0, :m], table[1, :m])
+        spectra_rows = Rows("%.17g,%.17g\n", *(s[:m] for s in spectra))
         xi = Rows("%d,", range(n))
         starts = range(0, m, CHUNK)
-        distinct = [spectra.block(start, start + CHUNK) for start in starts]
+        distinct = [spectra_rows.block(start, start + CHUNK) for start in starts]
         write("xi,signal_abs,components_abs_sum\n")
         for start, block in zip(starts, distinct):
             write(rows_text(np.hstack([xi.block(start, start + len(block)), block])))

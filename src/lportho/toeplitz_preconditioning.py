@@ -10,18 +10,21 @@ keeps its diagonals as one dense kernel over offsets -w..w, w its widest
 stored offset, and a matrix-vector product is one convolution with it, in
 O(n(2w+1)). A circulant keeps one real spectrum, its eigenvalues, by a
 rule that reads only its column: the cosine sum, in O(n w), for a banded
-column (a minimizer of a banded operator), rfft for any other. At a
-7-smooth n (no prime factor above 7) a circulant is inverted by
-half-spectrum division with real FFTs; at any other n a banded SPD column
-by a banded Cholesky factorization with a low-rank correction for the
-wrapped corners, and other columns by a folded power-of-two convolution,
-so no solve takes a slow (Bluestein) FFT of length n, and nothing here a
-complex FFT. The solver is a preconditioned conjugate gradient that stops
-at the accuracy float64 attains (the true residual, checked when the
-recursive one reaches tol or its rounding floor, decides between
-converged, a residual replacement and stagnated), with explicit failure
-reporting for singular or indefinite
-preconditioners and indefinite operators. Symbols, operators and
+column (a minimizer of a banded operator), rfft for any other. The
+solver is a preconditioned conjugate gradient. At a 7-smooth n (no prime
+factor above 7) a preconditioned solve runs in the orthonormal basis of
+the rfft coefficients, where the circulant is a division by its
+eigenvalues and T the circulant wrap of its band less a low-rank
+correction for the wrapped corners, so no FFT runs in the loop. At any
+other n it runs in real space: a banded SPD column is inverted by a
+banded Cholesky factorization with a low-rank correction for the wrapped
+corners, and other columns by a folded power-of-two convolution, so no
+solve takes a slow (Bluestein) FFT of length n, and nothing here a
+complex FFT. It stops at the accuracy float64 attains (the true residual,
+checked when the recursive one reaches tol or its rounding floor,
+decides between converged, a residual replacement and stagnated), with
+explicit failure reporting for singular or indefinite preconditioners and
+indefinite operators. Symbols, operators and
 circulants hold real symmetric data only, the one kind it solves with;
 each checks its data once, at construction, and raises ValueError.
 
@@ -145,13 +148,17 @@ class ToeplitzOperator:
     h[w + k] = t_k over offsets -w..w, w the widest stored offset;
     toeplitz_matvec convolves with it. A matvec costs O(n(2w+1)) whatever
     the band holds, so one far offset (up to n - 1) makes every product
-    O(n^2); the operators this package builds have w <= 2.
+    O(n^2); the operators this package builds have w <= 2. The first
+    preconditioned pcg_solve at a 7-smooth n keeps the operator's
+    eigenbasis on it (_Eigenbasis: 2r+1 basis rows of length n//2+1, r
+    the widest nonzero offset) for the solves that follow.
     """
 
     n: int
     diagonals: Mapping[int, float]
     symbol: Optional[ToeplitzSymbol] = None
     _kernel: np.ndarray = field(init=False, repr=False, compare=False)
+    _basis: Optional["_Eigenbasis"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = _number("n", self.n, int)
@@ -229,9 +236,7 @@ class CirculantMatrix:
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._eig is None:
-            col = self.first_column
-            w = _band_halfwidth(col)
-            half = np.fft.rfft(col).real if w is None else _banded_spectrum(col, w)
+            half = _half_spectrum(self.first_column)
             lam = np.concatenate([half, half[1 : (self.n + 1) // 2][::-1]])
             lam.setflags(write=False)
             object.__setattr__(self, "_eig", lam)
@@ -420,16 +425,43 @@ def _cos_table(n: int) -> np.ndarray:
     )
 
 
-def _banded_spectrum(col: np.ndarray, w: int) -> np.ndarray:
+def _sin_table(n: int) -> np.ndarray:
+    """sin(2 pi m / n) for m = 0..n//2, each within about an ulp, folded as
+    _cos_table folds (sin x = cos(pi/2 - x) = sin(pi - x)); m = 0 and
+    m = n/2 give 0 exactly."""
+    m = np.arange(n // 2 + 1)
+    a, b = n // 8 + 1, 3 * n // 8 + 1
+    step = np.pi / (2 * n)
+    return np.concatenate(
+        [np.sin(4 * m[:a] * step), np.cos((n - 4 * m[a:b]) * step), np.sin((2 * n - 4 * m[b:]) * step)]
+    )
+
+
+def _half_spectrum(col: np.ndarray, cos: Optional[np.ndarray] = None) -> np.ndarray:
+    """The n//2+1 distinct eigenvalues of the circulant with this symmetric
+    first column, by CirculantMatrix's rule: the cosine sum for a banded
+    column (_band_halfwidth), rfft(col).real for any other. cos, when
+    given, is _over_a_period(_cos_table(n), n, 1.0)."""
+    w = _band_halfwidth(col)
+    return np.fft.rfft(col).real if w is None else _banded_spectrum(col, w, cos)
+
+
+def _over_a_period(half: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """A table of f(2 pi q / n) for q = 0..n//2 extended to q = 0..n-1 by
+    f(2 pi (n - q) / n) = sign f(2 pi q / n), so that table.take(q,
+    mode="wrap") reads f(2 pi q / n) at any integer q."""
+    return np.concatenate((half, sign * half[(n + 1) // 2 - 1 : 0 : -1]))
+
+
+def _banded_spectrum(col: np.ndarray, w: int, cos: Optional[np.ndarray] = None) -> np.ndarray:
     """lambda_j = c_0 + 2 sum_(k=1..w) c_k cos(2 pi jk / n) for j = 0..n//2, in O(n w)."""
     n = col.size
     j = np.arange(n // 2 + 1)
     lam = np.full(j.size, col[0])
     if w:
-        cos = _cos_table(n)
+        cos = _over_a_period(_cos_table(n), n, 1.0) if cos is None else cos
         for k in range(1, w + 1):
-            q = j * k % n
-            lam += 2.0 * col[k] * cos[np.minimum(q, n - q)]
+            lam += 2.0 * col[k] * cos.take(j * k, mode="wrap")
     return lam
 
 
@@ -484,31 +516,28 @@ def _banded_inverse(col: np.ndarray, w: int) -> Optional[Callable[[np.ndarray], 
     return apply
 
 
-APPLY_HALF_SPECTRUM = "half_spectrum"
+APPLY_EIGENBASIS = "eigenbasis"
 APPLY_FOLDED_KERNEL = "folded_kernel"
 APPLY_BANDED_CHOLESKY = "banded_cholesky"
 
 
 def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
-    """The map r -> C^(-1) r for real r, with its path name.
+    """The map r -> C^(-1) r for real r, at an n with a prime factor above
+    7, with its path name.
 
     half = eigenvalues[: n // 2 + 1], the distinct eigenvalues.
-    half_spectrum: when n is 7-smooth (no prime factor above 7) an apply is
-    irfft(rfft(r) / half). banded_cholesky: at any other n, a banded column
-    (_band_halfwidth) with a positive spectrum and a positive definite band
-    is applied by _banded_inverse, in O(n w) with no FFT. folded_kernel:
-    otherwise the first column of C^(-1), irfft(1 / half), is transformed
-    once at the power of two m >= 2n - 1, and an apply is a linear
-    convolution by one rfft and one irfft of length m with the tail
-    y[n:2n-1] folded onto y[:n-1]: circular convolution without an FFT of
-    length n. Raises PreconditionerSingular.
+    banded_cholesky: a banded column (_band_halfwidth) with a positive
+    spectrum and a positive definite band is applied by _banded_inverse, in
+    O(n w) with no FFT. folded_kernel: otherwise the first column of
+    C^(-1), irfft(1 / half), is transformed once at the power of two
+    m >= 2n - 1, and an apply is a linear convolution by one rfft and one
+    irfft of length m with the tail y[n:2n-1] folded onto y[:n-1]: circular
+    convolution without an FFT of length n. Raises PreconditionerSingular.
     """
     n = C.n
     lam = C.eigenvalues
     _check_nonsingular(lam)
-    half = lam[: n // 2 + 1]  # contiguous: a strided divisor slows every apply
-    if _is_7_smooth(n):
-        return APPLY_HALF_SPECTRUM, lambda r: np.fft.irfft(np.fft.rfft(r) / half, n)
+    half = lam[: n // 2 + 1]
     w = _band_halfwidth(C.first_column)
     if w is not None and float(np.min(lam)) > 0.0:
         banded = _banded_inverse(C.first_column, w)
@@ -528,8 +557,9 @@ def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.nd
 def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
     """Solve C z = r for a real r of shape (n,) (ValueError otherwise).
 
-    Takes the paths of _real_inverse, built for this one call: half-spectrum
-    division with real FFTs when n is 7-smooth; otherwise a banded Cholesky
+    When n is 7-smooth, half-spectrum division with real FFTs,
+    irfft(rfft(r) / eigenvalues[: n // 2 + 1]); otherwise the paths of
+    _real_inverse, built for this one call: a banded Cholesky
     factorization for a banded SPD column, and a folded power-of-two
     convolution with the first column of C^(-1) for any other. Raises
     PreconditionerSingular when the smallest eigenvalue modulus does not
@@ -537,11 +567,149 @@ def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
     precision).
     """
     r = np.asarray(r)
-    if r.shape != (C.n,):
-        raise ValueError(f"operand must have shape ({C.n},), got {r.shape}")
+    n = C.n
+    if r.shape != (n,):
+        raise ValueError(f"operand must have shape ({n},), got {r.shape}")
     if np.iscomplexobj(r):
         raise ValueError("operand must be real, got a complex array")
-    return _real_inverse(C)[1](r)
+    if not _is_7_smooth(n):
+        return _real_inverse(C)[1](r)
+    _check_nonsingular(C.eigenvalues)
+    return np.fft.irfft(np.fft.rfft(r) / C.eigenvalues[: n // 2 + 1], n)
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+class _Eigenbasis:
+    """T in the orthonormal basis of the rfft coefficients, at a 7-smooth n.
+
+    The coordinates of a real v of length n are the coefficients
+    rfft(v)_k scaled by sqrt(w_k / n), w_k the Hermitian weight (1 at k = 0
+    and at k = n/2, 2 otherwise): the n//2+1 real parts, then the
+    imaginary parts. Dot products of coordinates are those of the real
+    vectors, and a circulant is a division or multiplication of each
+    coefficient's two parts by its distinct eigenvalues. T = C_T - W:
+    C_T is the circulant whose column wraps T's diagonals
+    (c_j = t_j + t_(j-n)), with distinct eigenvalues lam by
+    CirculantMatrix's rule, and W holds the entries t_(i-j-n) (i > j) and
+    t_(i-j+n) (i < j) that C_T wraps into the corners. W is zero outside
+    the rows and columns R = [0, r) and [n-r, n), r T's widest nonzero
+    offset, so W = E S E^T, S = W[R, R] and E's columns the coordinates of
+    e_i, i in R: sqrt(w_k / n)(cos - i sin)(2 pi i k / n). Row n-i is the
+    conjugate of row i, so rows keeps only the distinct cosine rows
+    j = 0..r and the nonzero sine rows j = 1..r (j < n/2), 2r+1 of them
+    when 2r < n, built from the exact tables; corners is S moved onto them
+    (see _eigenbasis_matvec). Built once per operator (_eigenbasis).
+    """
+
+    def __init__(self, T: ToeplitzOperator) -> None:
+        n, m = T.n, T.n // 2 + 1
+        cos = _over_a_period(_cos_table(n), n, 1.0)
+        col = np.zeros(n)
+        for k, v in T.diagonals.items():
+            col[k % n] += v  # at most two offsets a class: the sum is symmetric bit for bit
+        self.n, self.lam = n, _half_spectrum(col, cos)
+        r = max((abs(k) for k, v in T.diagonals.items() if v != 0.0), default=0)
+        i = np.arange(n) if 2 * r >= n else np.concatenate((np.arange(r), np.arange(n - r, n)))  # R
+        n_cos, n_sin = (min(r, n // 2) + 1 if r else 0), min(r, (n - 1) // 2)
+        diff = i[:, None] - i
+        wrapped = diff - n * np.sign(diff)  # the offset of T that C_T wraps onto (i, j)
+        w = T._kernel.size // 2
+        S = np.where((diff != 0) & (np.abs(wrapped) <= w), T._kernel.take(wrapped + w, mode="clip"), 0.0)
+        # e_i . d = L[i] . (cosine rows . re d, sine rows . im d): row i is row
+        # j = min(i, n - i), its sine part negated unless i > n - i
+        j = np.minimum(i, n - i)
+        L = np.zeros((i.size, n_cos + n_sin))
+        L[np.arange(i.size), j] = 1.0
+        has_sin = (j > 0) & (2 * j < n)
+        L[has_sin, n_cos - 1 + j[has_sin]] = np.where(i > n - i, 1.0, -1.0)[has_sin]
+        # rows @ d.T is (g, 2), and cosine rows read its column 0 (real
+        # parts), sine rows column 1; the (2, g) factor that multiplies rows
+        # writes real parts from its row 0, imaginary ones from row 1.
+        g = np.arange(n_cos + n_sin)
+        part = (g >= n_cos).astype(int)
+        self.corners = np.zeros((2 * g.size, 2 * g.size))
+        self.corners[(part * g.size + g)[:, None], 2 * g + part] = L.T @ S @ L
+        k = np.arange(m)
+        sin = _over_a_period(_sin_table(n), n, -1.0) if n_sin else None
+        self.rows = np.empty((g.size, m))
+        for row in g:
+            table, jj = (cos, row) if row < n_cos else (sin, row - n_cos + 1)
+            table.take(jj * k, out=self.rows[row], mode="wrap")
+        scale = np.full(m, _SQRT2)  # sqrt(w_k), then over sqrt(n), as to_coords scales
+        scale[[0, -1] if n % 2 == 0 else 0] = 1.0
+        self.rows *= scale / math.sqrt(n)
+
+    def to_coords(self, v: np.ndarray) -> np.ndarray:
+        c = np.fft.rfft(v, norm="ortho")
+        c[1 : (self.n + 1) // 2] *= _SQRT2
+        return np.concatenate((c.real, c.imag))
+
+    def from_coords(self, f: np.ndarray) -> np.ndarray:
+        m = self.n // 2 + 1
+        c = np.empty(m, dtype=complex)
+        c.real, c.imag = f[:m], f[m:]
+        c[1 : (self.n + 1) // 2] /= _SQRT2
+        return np.fft.irfft(c, self.n, norm="ortho")
+
+
+def _eigenbasis(T: ToeplitzOperator) -> _Eigenbasis:
+    """T's _Eigenbasis, built at the first call and kept on T, as a
+    circulant keeps its eigenvalues: the solves of one operator with
+    several preconditioners share it."""
+    if T._basis is None:
+        object.__setattr__(T, "_basis", _Eigenbasis(T))
+    return T._basis
+
+
+def _eigenbasis_matvec(E: _Eigenbasis, d: np.ndarray) -> np.ndarray:
+    """T d in E's coordinates: lam * d - E S E^T d, O(n r) with no FFT."""
+    d2 = d.reshape(2, -1)
+    q = d2 * E.lam
+    q -= (E.corners @ (E.rows @ d2.T).reshape(-1)).reshape(2, -1) @ E.rows
+    return q.reshape(-1)
+
+
+def _coordinates(T: ToeplitzOperator, M: Optional[CirculantMatrix]) -> tuple:
+    """The coordinates pcg_solve iterates in: (apply_path, the apply of
+    M^(-1), the product with T, the coordinates of a real vector, the
+    real vector of the solution's coordinates x). Raises
+    PreconditionerSingular.
+
+    With M at a 7-smooth n they are T's _Eigenbasis: the apply divides by
+    M's distinct eigenvalues and the product is _eigenbasis_matvec.
+    to_real anchors x in real space: it returns the vector it returned
+    last time plus the back-transform of what x gained since, so each
+    transform rounds only that gain. Otherwise they are real space:
+    toeplitz_matvec, _real_inverse(M) or without M np.copy (the loop
+    writes r in place, so the apply and the coordinates of b are fresh
+    arrays), and x is its own real vector.
+    """
+    if M is None or not _is_7_smooth(T.n):
+        apply_path, precondition = (None, np.copy) if M is None else _real_inverse(M)
+        return apply_path, precondition, lambda d: toeplitz_matvec(T, d), np.copy, lambda x: x
+
+    _check_nonsingular(M.eigenvalues)
+    E, inv = _eigenbasis(T), M.eigenvalues[: T.n // 2 + 1]
+    real = anchor = None
+
+    def to_real(x: np.ndarray) -> np.ndarray:
+        nonlocal real, anchor
+        if anchor is None:
+            real, anchor = E.from_coords(x), x.copy()
+        else:
+            real += E.from_coords(np.subtract(x, anchor, out=anchor))
+            anchor[:] = x
+        return real
+
+    return (
+        APPLY_EIGENBASIS,
+        lambda r: (r.reshape(2, -1) / inv).reshape(-1),
+        lambda d: _eigenbasis_matvec(E, d),
+        E.to_coords,
+        to_real,
+    )
 
 
 STATUS_CONVERGED = "converged"
@@ -564,9 +732,10 @@ class SolveReport:
     last recursive residual, and it is None when there is no solution.
     status is "converged" exactly when it meets tol. The exponent behind
     the preconditioner is M.p, on the circulant the solve was given.
-    apply_path names how M^(-1) was applied: "half_spectrum",
-    "banded_cholesky" or "folded_kernel" (see _real_inverse); None when
-    unpreconditioned or when no apply was built (b = 0, singular M).
+    apply_path names how the preconditioned solve ran: "eigenbasis"
+    (see _Eigenbasis), "banded_cholesky" or "folded_kernel" (see
+    _real_inverse); None when unpreconditioned or when nothing was built
+    (b = 0, singular M).
     replacements counts the times the recursive residual was replaced by
     the true one. matvecs counts products with T, the true-residual ones
     included, and applies counts applies of M^(-1) (0 when
@@ -600,19 +769,28 @@ def pcg_solve(
     eps * sum|t_k| * ||x||_2 / ||b||_2 when that floor exceeds 10 tol,
     since below it the recursive residual no longer follows the true one
     (van der Vorst & Ye 2000; Greenbaum 1997). A true residual that meets
-    tol is converged. One that has not halved since the last replacement
-    (or since the start, at 1) is stagnated: the solution is returned, at
-    the accuracy float64 attains on this system. Otherwise it replaces the
-    recursive residual, the search direction restarts, and the iteration
-    goes on. After maxit iterations, default 10n, the status is
-    max_iterations, or converged if the true residual meets tol. T and M
-    are real symmetric by construction. Each iteration makes one apply of
-    M^(-1) and one matvec (toeplitz_matvec, one convolution with T's
-    kernel). The apply is built once per solve, before the first iteration,
-    as in circulant_solve: half-spectrum division at 7-smooth n; at other n
-    a banded Cholesky apply for a banded SPD M, a folded power-of-two
-    convolution otherwise. The report's apply_path names it, and its
-    matvecs, applies and replacements count the work.
+    tol is converged. One at or below the floor that triggered its check,
+    or one that has not halved since the last replacement (or since the
+    start, at 1), is stagnated: the solution is returned, at the accuracy
+    float64 attains on this system. Otherwise it replaces the recursive
+    residual, the search direction restarts, and the iteration goes on.
+    After maxit iterations, default 10n, the status is max_iterations, or
+    converged if the true residual meets tol. T and M are real symmetric
+    by construction. Each iteration makes one apply of M^(-1) and one
+    product with T, in the coordinates _coordinates picks once per solve,
+    before the first iteration. With M at a 7-smooth n they are T's
+    eigenbasis (_Eigenbasis): the apply is a division by M's eigenvalues
+    and the product _eigenbasis_matvec, so the loop takes no FFT but one
+    rfft of b and, at each true-residual check, an irfft of what x gained
+    since the last check, added to the real solution of that check (x
+    anchored in real space) and then an rfft of the residual if it
+    replaces the recursive one. Otherwise the solve runs in real space:
+    toeplitz_matvec, one convolution with T's kernel, and at other n a
+    banded Cholesky apply for a banded SPD M, a folded power-of-two
+    convolution otherwise (_real_inverse). The true residual is
+    b - toeplitz_matvec(T, x) in real space on either path. The report's
+    apply_path names the path, and its matvecs, applies and replacements
+    count the work.
 
     Failure rule: an argument that is malformed in itself (b complex, of
     the wrong shape or not finite, tol not a finite number > 0, maxit not
@@ -642,16 +820,14 @@ def pcg_solve(
     if bnorm == 0.0:
         return SolveReport(0, (0.0,), STATUS_CONVERGED, np.zeros(T.n), 0.0)
 
-    if M is None:
-        apply_path, precondition = None, np.copy  # a fresh array: the updates below write r in place
-    else:
-        try:
-            apply_path, precondition = _real_inverse(M)
-        except PreconditionerSingular:
-            return SolveReport(0, (), STATUS_SINGULAR)
+    try:
+        apply_path, precondition, matvec, to_coords, to_real = _coordinates(T, M)
+    except PreconditionerSingular:
+        return SolveReport(0, (), STATUS_SINGULAR)
 
-    x = np.zeros(T.n)
-    r = b.copy()
+    r = to_coords(b)
+    x = np.zeros(r.size)
+    solution = None  # to_real(x) at the last true residual
     residuals = [1.0]
     matvecs = applies = replacements = 0
     floor_scale = np.finfo(float).eps * float(np.abs(T._kernel).sum()) / bnorm
@@ -659,15 +835,16 @@ def pcg_solve(
 
     def report(iterations: int, status: str, true_res: Optional[float] = None) -> SolveReport:
         applied = applies if M is not None else 0  # the unpreconditioned "apply" is a copy
-        solution = None if true_res is None else x
         return SolveReport(
-            iterations, tuple(residuals), status, solution, true_res, apply_path, matvecs, applied, replacements
+            iterations, tuple(residuals), status, None if true_res is None else solution, true_res,
+            apply_path, matvecs, applied, replacements,
         )
 
     def true_residual() -> tuple[np.ndarray, float]:
-        nonlocal matvecs
+        nonlocal matvecs, solution
         matvecs += 1
-        res = b - toeplitz_matvec(T, x)
+        solution = to_real(x)
+        res = b - toeplitz_matvec(T, solution)
         return res, math.sqrt(res @ res) / bnorm
 
     if residuals[-1] <= tol:
@@ -683,7 +860,7 @@ def pcg_solve(
         if not restart:
             z += (rho_next / rho) * d  # z is fresh from the apply: the new direction is built in it
         d, rho, restart = z, rho_next, False
-        q = toeplitz_matvec(T, d)
+        q = matvec(d)
         matvecs += 1
         dq = float(d @ q)
         if not dq > 0.0:
@@ -693,13 +870,14 @@ def pcg_solve(
         r -= alpha * q
         residuals.append(math.sqrt(r @ r) / bnorm)
         floor = floor_scale * math.sqrt(x @ x)
-        if residuals[-1] <= (floor if floor > 10.0 * tol else tol):
+        at_floor = floor > 10.0 * tol
+        if residuals[-1] <= (floor if at_floor else tol):
             true_r, true_res = true_residual()
             if true_res <= tol:
                 return report(it, STATUS_CONVERGED, true_res)
-            if true_res > 0.5 * replaced:
+            if (at_floor and true_res <= floor) or true_res > 0.5 * replaced:
                 return report(it, STATUS_STAGNATED, true_res)
-            r, replaced, restart = true_r, true_res, True
+            r, replaced, restart = to_coords(true_r), true_res, True
             replacements += 1
     true_res = true_residual()[1]
     return report(maxit, STATUS_CONVERGED if true_res <= tol else STATUS_MAX_ITERATIONS, true_res)
@@ -844,14 +1022,8 @@ class BenchmarkResult:
         raise KeyError(f"no cell for n={n}, p={p}")
 
 
-def _bench_cell(
-    symbol: ToeplitzSymbol,
-    n: int,
-    p: Optional[float],
-    b: np.ndarray,
-    config: BenchmarkConfig,
-) -> BenchmarkCell:
-    T = build_toeplitz(symbol, n)
+def _bench_cell(T: ToeplitzOperator, p: Optional[float], b: np.ndarray, config: BenchmarkConfig) -> BenchmarkCell:
+    n = T.n
     if p is None:
         report = pcg_solve(T, b, None, config.tol, config.maxit)
         return BenchmarkCell(n, None, report, None)
@@ -878,7 +1050,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     cells = []
     for n in config.n_list:
         b = np.ones(n) if config.rhs == "ones" else rng.standard_normal(n)
-        cells += [_bench_cell(symbol, n, p, b, config) for p in config.p_list + (None,)]
+        T = build_toeplitz(symbol, n)  # one operator a row: its cells share its eigenbasis
+        cells += [_bench_cell(T, p, b, config) for p in config.p_list + (None,)]
     return BenchmarkResult(config, tuple(cells))
 
 

@@ -691,6 +691,16 @@ def fft_spectrum(C):
     return np.fft.fft(C.first_column).real
 
 
+def count_products(monkeypatch) -> list:
+    """Record every product with T that pcg_solve makes, "real" for
+    toeplitz_matvec and "eigenbasis" for _eigenbasis_matvec."""
+    calls = []
+    real, eigenbasis = tp.toeplitz_matvec, tp._eigenbasis_matvec
+    monkeypatch.setattr(tp, "toeplitz_matvec", lambda T, x: calls.append("real") or real(T, x))
+    monkeypatch.setattr(tp, "_eigenbasis_matvec", lambda E, d: calls.append("eigenbasis") or eigenbasis(E, d))
+    return calls
+
+
 def apply_path(C, n):
     """The path pcg_solve reports for M = C (built, but no iterations)."""
     return pcg_solve(ToeplitzOperator(n, {0: 1.0}), np.ones(n), C, maxit=0).apply_path
@@ -751,6 +761,16 @@ class TestBandedCirculant:
         # cos(2 pi m / n) in double precision is off by up to 2 ulps of 1
         assert float(np.max(np.abs(_cos_table(n) - exact))) <= EPS
 
+    @pytest.mark.parametrize("n", NON_SMOOTH_N + SMOOTH_N + (1, 2, 6, 131071))
+    def test_sine_table_within_an_ulp_and_zero_at_0_and_pi(self, n):
+        table = tp._sin_table(n)
+        assert table[0] == 0.0 and (n % 2 or table[n // 2] == 0.0)
+        if np.finfo(np.longdouble).eps >= EPS:
+            pytest.skip("no extended precision here")
+        m = np.arange(n // 2 + 1)
+        exact = np.sin(8 * np.arctan(np.longdouble(1)) * m / n)
+        assert float(np.max(np.abs(table - exact))) <= EPS
+
     def test_indefinite_band_keeps_folded_kernel(self):
         n = 1009
         T = build_toeplitz(BANDED_SYMBOLS["stiff"], n)
@@ -787,13 +807,13 @@ class TestBandedCirculant:
         assert pcg_solve(T, np.ones(97)).apply_path is None
         assert pcg_solve(T, np.ones(97), lp_circulant_minimizer(T, 1.0)).apply_path == "banded_cholesky"
         T = build_toeplitz(BANDED_SYMBOLS["gentle"], 96)
-        assert pcg_solve(T, np.ones(96), lp_circulant_minimizer(T, 1.0)).apply_path == "half_spectrum"
-        # at a 7-smooth n a banded SPD column keeps the half-spectrum apply
+        assert pcg_solve(T, np.ones(96), lp_circulant_minimizer(T, 1.0)).apply_path == "eigenbasis"
+        # at a 7-smooth n every preconditioned solve runs in the eigenbasis
         for n in (100, 128, 300, 700, 1000, 2**12):
             for p in (1.0, 1.6):
                 C = lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS["stiff"], n), p)
                 if C.is_spd():
-                    assert apply_path(C, n) == "half_spectrum", (n, p)
+                    assert apply_path(C, n) == "eigenbasis", (n, p)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 97, 100])
     def test_every_spectrum_is_mirrored_bit_for_bit(self, n):
@@ -832,6 +852,108 @@ class TestBandedCirculant:
             for C in (CirculantMatrix(dense), lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS["gentle"], n), 1.0)):
                 r = rng.standard_normal(n)
                 np.testing.assert_allclose(circulant_solve(C, r), np.linalg.solve(C.to_dense(), r), rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The eigenbasis PCG iterates in at a 7-smooth n: coordinates are the rfft
+# coefficients scaled by sqrt(w_k / n) (w_k = 1 at k = 0 and k = n/2, else
+# 2), real parts then imaginary parts. Oracles: numpy's rfft and irfft of
+# dense products and dense solves built here.
+
+
+def hermitian_scale(n: int) -> np.ndarray:
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return np.sqrt(w / n)
+
+
+def oracle_coords(v: np.ndarray) -> np.ndarray:
+    c = np.fft.rfft(v) * hermitian_scale(v.size)
+    return np.concatenate((c.real, c.imag))
+
+
+def oracle_real(f: np.ndarray, n: int) -> np.ndarray:
+    m = n // 2 + 1
+    return np.fft.irfft((f[:m] + 1j * f[m:]) / hermitian_scale(n), n)
+
+
+def random_coords(rng, n: int) -> np.ndarray:
+    """Coordinates of a standard normal real vector (imaginary parts 0 at k = 0 and n/2)."""
+    return oracle_coords(rng.standard_normal(n))
+
+
+EIGENBASIS_N = (1, 2, 6, 8, 100, 400, 700, 1000, 2**10)  # 4w >= n for the first four
+
+
+class TestEigenbasisOracle:
+    @pytest.mark.parametrize("n", EIGENBASIS_N)
+    @pytest.mark.parametrize("name", ["gentle", "stiff", "laplacian", "diagonal", "w3"])
+    def test_product_matches_dense_product(self, n, name):
+        # lam_T * d - B S B^T d against rfft(T irfft(d)), T dense
+        T = build_toeplitz(BANDED_SYMBOLS[name], n)
+        dense = dense_from_diagonals(n, {k: v for k, v in BANDED_SYMBOLS[name].coefficients.items() if abs(k) < n})
+        self.check_product(T, dense, np.random.default_rng(n))
+
+    @pytest.mark.parametrize("n, band", [(6, 5), (12, 11), (12, 4), (64, 5), (100, 49)])
+    def test_wide_and_overlapping_corners_match_dense_product(self, n, band):
+        # 2 band >= n: the wrapped corners share rows, and W covers them all
+        rng = np.random.default_rng(100 * n + band)
+        T = random_symmetric_operator(rng, n, band)
+        self.check_product(T, dense_from_diagonals(n, T.diagonals), rng)
+
+    @staticmethod
+    def check_product(T, dense, rng):
+        n = T.n
+        M = CirculantMatrix(np.r_[1.0, np.zeros(n - 1)])
+        path, _, matvec, to_coords, _ = tp._coordinates(T, M)
+        assert path == "eigenbasis"
+        for _ in range(3):
+            d = random_coords(rng, n)
+            want = oracle_coords(dense @ oracle_real(d, n))
+            got = matvec(d)
+            assert got.shape == d.shape
+            assert np.max(np.abs(got - want)) <= 64 * EPS * np.abs(dense).sum(axis=1).max() * np.linalg.norm(d)
+        v = rng.standard_normal(n)
+        np.testing.assert_allclose(to_coords(v), oracle_coords(v), rtol=0, atol=16 * EPS * np.linalg.norm(v))
+
+    @pytest.mark.parametrize("p", [1.6, 10.0])
+    def test_loop_transforms_only_b_and_at_checks(self, monkeypatch, p):
+        # one rfft of b; at each true-residual check one irfft, and one rfft
+        # of the residual that replaces the recursive one (p = 10 replaces once)
+        T = build_toeplitz(BANDED_SYMBOLS["stiff"], 1000)
+        M = lp_circulant_minimizer(T, p)
+        M.eigenvalues, tp._eigenbasis(T)  # built before counting: neither takes an FFT here
+        calls = []
+        for name in ("rfft", "irfft"):
+            fft = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, name=name, fft=fft, **k: calls.append(name) or fft(*a, **k))
+        report = pcg_solve(T, np.ones(1000), M)
+        assert report.apply_path == "eigenbasis" and report.status == "converged"
+        assert report.replacements == (1 if p == 10.0 else 0)
+        checks = report.replacements + 1
+        assert calls.count("irfft") == checks and calls.count("rfft") == 1 + report.replacements
+
+    @pytest.mark.parametrize("n", EIGENBASIS_N)
+    def test_apply_matches_dense_solve(self, n):
+        # d / lam_M against rfft(C^(-1) irfft(d)), C dense: the gentle
+        # minimizer, and a dense column with negative eigenvalues (but at
+        # small n) after the Strang-type correction
+        T = build_toeplitz(BANDED_SYMBOLS["gentle"], n)
+        rng = np.random.default_rng(n)
+        col = rng.standard_normal(n)
+        col = 0.5 * (col + np.roll(col[::-1], 1))
+        col[0] = abs(col[0]) + 0.5
+        corrected = strang_type_correction(CirculantMatrix(col))
+        assert corrected.is_spd() and (n < 100 or not CirculantMatrix(col).is_spd())
+        for C in (lp_circulant_minimizer(T, 1.0), corrected):
+            dense = scipy.linalg.circulant(C.first_column)
+            _, apply, _, _, _ = tp._coordinates(T, C)
+            d = random_coords(rng, n)
+            want = oracle_coords(np.linalg.solve(dense, oracle_real(d, n)))
+            cond = np.linalg.cond(dense)
+            assert np.max(np.abs(apply(d) - want)) <= 64 * cond * EPS * np.linalg.norm(want)
 
 
 class TestPcgSolve:
@@ -920,7 +1042,7 @@ class TestPcgSolve:
         # used to drop the imaginary part with a ComplexWarning and report converged
         T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 8)
         M = lp_circulant_minimizer(T, p) if p is not None else None
-        monkeypatch.setattr(tp, "_real_inverse", lambda C: pytest.fail("built an apply"))
+        monkeypatch.setattr(tp, "_coordinates", lambda T, M: pytest.fail("built an apply"))
         for b in (np.ones(8) + 1j, np.ones(8, dtype=complex), [1j] * 8):
             with pytest.raises(ValueError, match="real"):
                 pcg_solve(T, b, M)
@@ -938,7 +1060,7 @@ class TestPcgSolve:
         # and True ran one iteration
         T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 8)
         M = lp_circulant_minimizer(T, 1.0)
-        monkeypatch.setattr(tp, "_real_inverse", lambda C: pytest.fail("built an apply"))
+        monkeypatch.setattr(tp, "_coordinates", lambda T, M: pytest.fail("built an apply"))
         with pytest.raises(ValueError, match="maxit"):
             pcg_solve(T, np.ones(8), M, maxit=maxit)
 
@@ -974,9 +1096,7 @@ class TestPcgSolve:
         # does not run
         T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 64)
         M = lp_circulant_minimizer(T, p) if p is not None else None
-        calls = []
-        matvec = tp.toeplitz_matvec
-        monkeypatch.setattr(tp, "toeplitz_matvec", lambda T, x: calls.append(x.size) or matvec(T, x))
+        calls = count_products(monkeypatch)
         report = pcg_solve(T, np.ones(64), M, maxit=maxit)
         k = report.iterations
         assert report.status == ("converged" if maxit is None else "max_iterations")
@@ -986,6 +1106,8 @@ class TestPcgSolve:
             assert report.applies == 0
         else:
             assert report.applies == k
+            # 64 is 7-smooth: the iterations' products are in the eigenbasis
+            assert calls == ["eigenbasis"] * k + ["real"]
 
     def test_counts_without_work(self):
         T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 100)
@@ -996,29 +1118,40 @@ class TestPcgSolve:
         assert (report.status, report.matvecs, report.applies) == ("preconditioner_singular", 0, 0)
 
     def test_replacement_counts_one_matvec(self, monkeypatch):
-        # stiff (1000, 3): the recursive residual reaches tol while the true
-        # one is still above it, so the true one replaces it once
+        # stiff n = 1000, unpreconditioned (real space) and with p = 10 (the
+        # eigenbasis): the recursive residual reaches tol while the true one
+        # is still above it, so the true one replaces it once
         T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 1000)
-        calls = []
-        matvec = tp.toeplitz_matvec
-        monkeypatch.setattr(tp, "toeplitz_matvec", lambda T, x: calls.append(x.size) or matvec(T, x))
-        report = pcg_solve(T, np.ones(1000), lp_circulant_minimizer(T, 3.0))
-        assert report.status == "converged" and report.replacements >= 1
-        assert report.matvecs == report.iterations + 1 + report.replacements == len(calls)
-        assert report.applies == report.iterations
-        assert report.true_relative_residual <= DEFAULT_PCG_TOL
-        assert stencil_relative_residual(T, report.solution, np.ones(1000)) <= DEFAULT_PCG_TOL
+        calls = count_products(monkeypatch)
+        for M in (None, lp_circulant_minimizer(T, 10.0)):
+            calls.clear()
+            report = pcg_solve(T, np.ones(1000), M)
+            assert report.status == "converged" and report.replacements >= 1
+            assert report.matvecs == report.iterations + 1 + report.replacements == len(calls)
+            assert report.applies == (report.iterations if M is not None else 0)
+            assert report.true_relative_residual <= DEFAULT_PCG_TOL
+            assert stencil_relative_residual(T, report.solution, np.ones(1000)) <= DEFAULT_PCG_TOL
 
     def test_stagnated_returns_its_solution(self):
-        # at tol 1e-13 rounding stops the stiff n = 100 solve short of tol
+        # stiff n = 100, p = 1.6. At tol 2e-12 the rounding floor
+        # eps sum|t_k| ||x|| / ||b|| (about 1.3e-11) is below 10 tol, so tol
+        # triggers each check: the first true residual replaces the
+        # recursive one, and the next has not halved. At tol 1e-13 the floor
+        # triggers the check, and a true residual below it stops at once.
         T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), 100)
         b = np.ones(100)
-        report = pcg_solve(T, b, lp_circulant_minimizer(T, 1.6), tol=1e-13)
-        assert report.status == "stagnated" and report.replacements >= 1
-        assert report.matvecs == report.iterations + 1 + report.replacements
-        want = np.linalg.norm(b - T.to_dense() @ report.solution) / np.linalg.norm(b)
-        assert report.true_relative_residual == pytest.approx(want, rel=1e-3)
-        assert 1e-13 < report.true_relative_residual < 1e-9
+        M = lp_circulant_minimizer(T, 1.6)
+        for tol, replaced in ((2e-12, True), (1e-13, False)):
+            report = pcg_solve(T, b, M, tol=tol)
+            assert report.status == "stagnated" and (report.replacements >= 1) == replaced, tol
+            assert report.matvecs == report.iterations + 1 + report.replacements
+            want = np.linalg.norm(b - T.to_dense() @ report.solution) / np.linalg.norm(b)
+            assert report.true_relative_residual == pytest.approx(want, rel=1e-3)
+            assert tol < report.true_relative_residual < 1e-9
+            floor = EPS * float(np.sum(np.abs(T._kernel))) * np.linalg.norm(report.solution) / np.linalg.norm(b)
+            assert (floor > 10 * tol) == (not replaced)
+            if not replaced:
+                assert report.true_relative_residual <= floor
 
     def test_maxit_exit_meeting_tol_is_converged(self):
         # The recursive and true residuals differ in their last digits. A
