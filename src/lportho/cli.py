@@ -170,19 +170,18 @@ def _spectrum_comparison(report: EnergyReport) -> Writer:
     """A Writer of spectrum_comparison.csv: xi, |s_hat(xi)| and
     sum_k |phi_k_hat(xi)| for xi = 0..n-1.
 
-    The spectra of real signals are mirrored, bin n-k a copy of bin k
-    (_unfold), so only the m = n//2+1 distinct rows are formatted, a block
-    of CHUNK rows at a time, and row n-k takes row k's bytes. ValueError,
-    before anything is written, unless the values are finite and mirrored.
+    The report holds the m = n//2+1 rfft bins of real signals of even
+    length n = 2(m-1), and bin n-k mirrors bin k, so each stored row is
+    formatted once, a block of CHUNK rows at a time, and row n-k takes row
+    k's bytes. ValueError, before anything is written, unless the values
+    are finite.
     """
     spectra = (report.signal_abs, report.components_abs_sum)
-    n, m = spectra[0].size, spectra[0].size // 2 + 1
+    n, m = 2 * spectra[0].size - 2, spectra[0].size
     check_finite(*spectra)
-    if not all(np.array_equal(s[m:], s[n - m:0:-1]) for s in spectra):
-        raise ValueError("spectrum comparison: bin n-k differs from bin k, so the spectra are not of real signals")
 
     def write_table(write) -> None:
-        spectra_rows = Rows("%.17g,%.17g\n", *(s[:m] for s in spectra))
+        spectra_rows = Rows("%.17g,%.17g\n", *spectra)
         xi = Rows("%d,", range(n))
         starts = range(0, m, CHUNK)
         distinct = [spectra_rows.block(start, start + CHUNK) for start in starts]

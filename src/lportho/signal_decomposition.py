@@ -97,11 +97,6 @@ def _l1_energy(half_mags: np.ndarray) -> float:
     return float(np.sum(_hermitian_weights(half_mags.size) * half_mags))
 
 
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """Values at the n//2+1 rfft bins extended to all n bins: bin n-k gets bin k's."""
-    return np.concatenate([half, half[-2:0:-1]])
-
-
 def l1_fourier_energy(s: Signal) -> float:
     """E1(s): the l1 norm of the DFT coefficient magnitudes.
 
@@ -163,10 +158,11 @@ class EnergyReport:
     conservation_gap = sum(component_energies) - total_energy; the trend's
     energy is included among component_energies (last entry). signal_abs
     is |s_hat(xi)| and components_abs_sum is sum_k |phi_k_hat(xi)| (trend
-    included) at every frequency xi: the spectra the energies and the
-    unwanted frequencies were computed from. unwanted_frequencies holds a
-    (frequency index, excess) pair for every xi where components_abs_sum
-    exceeds signal_abs by more than 1e-12 * max(signal_abs).
+    included) at the rfft bins xi = 0..n/2, whose mirrors n-xi repeat
+    them: the spectra the energies and unwanted frequencies come from.
+    unwanted_frequencies holds a (frequency index, excess) pair for every
+    xi in 0..n-1 where components_abs_sum exceeds signal_abs by more than
+    1e-12 * max(signal_abs).
     """
 
     total_energy: float
@@ -192,20 +188,20 @@ def _verify_reconstruction(d: Decomposition) -> None:
 
 
 def _spectral_magnitudes(d: Decomposition) -> tuple[np.ndarray, list[float], np.ndarray]:
-    """|s_hat| at all n bins, the L1 energies of the source and of each part
-    (source first), and sum_k |phi_k_hat| over the parts at all n bins.
+    """|s_hat|, the L1 energies of the source and of each part (source
+    first), and sum_k |phi_k_hat| over the parts, at the n//2+1 rfft bins.
 
-    One batched rfft over the source and the parts gives their n//2+1 bins;
-    each row equals the 1-d rfft of its signal, so an energy here is the one
-    l1_fourier_energy gives, bit for bit. The two spectra are unfolded to n
-    bins by conjugate symmetry, |x_hat(n-k)| = |x_hat(k)|.
+    One batched rfft over the source and the parts gives their bins; each
+    row equals the 1-d rfft of its signal, so an energy here is the one
+    l1_fourier_energy gives, bit for bit. |s_hat| is copied out of the
+    batch, so the report does not keep the batch alive.
     """
     mags = np.abs(np.fft.rfft(np.stack([d.source.samples] + [p.samples for p in d.parts])))
     energies = [_l1_energy(row) for row in mags]
     summed = np.zeros_like(mags[0])
     for row in mags[1:]:
         summed += row
-    shat, summed = _unfold(mags[0]), _unfold(summed)
+    shat = mags[0].copy()
     shat.setflags(write=False)
     summed.setflags(write=False)
     return shat, energies, summed
@@ -219,7 +215,8 @@ def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyRep
     conserved flag |gap| <= tol * E1(source), any unwanted oscillations,
     and the two spectra they come from. One batched rfft serves all of it:
     each energy sums its n//2+1 bins with Hermitian weights, as
-    l1_fourier_energy does, and the spectra are reported at all n bins.
+    l1_fourier_energy does, and the spectra are reported at those bins. An
+    unwanted frequency at bin k is listed at k and at its mirror n - k.
     tol must be a finite number > 0.
     """
     tol = _positive("tol", tol)
@@ -228,14 +225,16 @@ def check_energy_conservation(d: Decomposition, tol: float = 1e-10) -> EnergyRep
     total, part_energies = energies[0], tuple(energies[1:])
     gap = float(sum(part_energies) - total)
     excess = summed - shat
-    hits = np.nonzero(excess > OSCILLATION_RTOL * float(np.max(shat)))[0]
+    n = d.source.n
+    hits = np.flatnonzero(excess > OSCILLATION_RTOL * float(np.max(shat)))
+    hits = np.concatenate((hits, n - hits[(hits > 0) & (hits < n // 2)][::-1]))  # bin n-k mirrors bin k
     return EnergyReport(
         total_energy=total,
         component_energies=part_energies,
         conservation_gap=gap,
         conserved=abs(gap) <= tol * total if total > 0 else gap == 0.0,
         tol=tol,
-        unwanted_frequencies=tuple((int(k), float(excess[k])) for k in hits),
+        unwanted_frequencies=tuple((int(k), float(excess[min(k, n - k)])) for k in hits),
         signal_abs=shat,
         components_abs_sum=summed,
     )

@@ -8,9 +8,10 @@ touches), computed only for the at most 2w+1 classes a band of halfwidth
 w reaches; every other entry of the column is 0. A Toeplitz operator
 keeps its diagonals as one dense kernel over offsets -w..w, w its widest
 stored offset, and a matrix-vector product is one convolution with it, in
-O(n(2w+1)). A circulant keeps one real spectrum, its eigenvalues, by a
-rule that reads only its column: the cosine sum, in O(n w), for a banded
-column (a minimizer of a banded operator), rfft for any other. The
+O(n(2w+1)). A circulant keeps one real spectrum, its n//2+1 distinct
+eigenvalues, computed when built by a rule that reads only its column:
+the cosine sum, in O(n w), for a banded column (a minimizer of a banded
+operator), rfft for any other. The
 solver is a preconditioned conjugate gradient. At a 7-smooth n (no prime
 factor above 7) a preconditioned solve runs in the orthonormal basis of
 the rfft coefficients, where the circulant is a division by its
@@ -193,25 +194,25 @@ def build_toeplitz(symbol: ToeplitzSymbol, n: int) -> ToeplitzOperator:
 
 @dataclass(frozen=True)
 class CirculantMatrix:
-    """Real symmetric circulant matrix stored by first column, eigenvalues cached.
+    """Real symmetric circulant matrix stored by first column and spectrum.
 
     The first column fixes the matrix, and its length is n. It must be
     1-d of length n >= 1, real, finite and symmetric, c_k == c_(n-k)
-    exactly (ValueError otherwise), so the spectrum is real and even. It is
-    the only spectrum kept, read-only, and solves take their multipliers
-    from it. The column alone picks how its n//2+1 distinct values are
-    computed: a banded column (see _band_halfwidth) takes the cosine sum
-    lambda_j = c_0 + 2 sum_(k<=w) c_k cos(2 pi jk / n) in O(n w), any other
-    rfft(c).real. The rest are mirrored, lambda_(n-j) == lambda_j bit for
-    bit. p records the exponent used to build the matrix when it came from
-    a minimization; it follows PExponent's rule, a finite number >= 1 that
+    exactly (ValueError otherwise), so the spectrum is real and even. Its
+    n//2+1 distinct values, computed at construction and read-only, are
+    half_eigenvalues, the only spectrum kept: a banded column (see
+    _band_halfwidth) takes the cosine sum lambda_j = c_0 + 2 sum_(k<=w)
+    c_k cos(2 pi jk / n) in O(n w), any other rfft(c).real. eigenvalues
+    mirrors them into all n, lambda_(n-j) == lambda_j bit for bit. p
+    records the exponent used to build the matrix when it came from a
+    minimization; it follows PExponent's rule, a finite number >= 1 that
     is not a bool (ValueError otherwise), and is stored as a float.
     """
 
     first_column: np.ndarray
     p: Optional[float] = None
     symbol: Optional[ToeplitzSymbol] = None
-    _eig: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    half_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         col = np.asarray(self.first_column)
@@ -228,6 +229,9 @@ class CirculantMatrix:
         object.__setattr__(self, "first_column", col)
         if self.p is not None:
             object.__setattr__(self, "p", PExponent(self.p).p)
+        half = _half_spectrum(col)
+        half.setflags(write=False)
+        object.__setattr__(self, "half_eigenvalues", half)
 
     @property
     def n(self) -> int:
@@ -235,12 +239,8 @@ class CirculantMatrix:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        if self._eig is None:
-            half = _half_spectrum(self.first_column)
-            lam = np.concatenate([half, half[1 : (self.n + 1) // 2][::-1]])
-            lam.setflags(write=False)
-            object.__setattr__(self, "_eig", lam)
-        return self._eig
+        """All n eigenvalues, a new array on each access."""
+        return _mirror(self.half_eigenvalues, self.n)
 
     @property
     def num_negative_eigenvalues(self) -> int:
@@ -248,7 +248,7 @@ class CirculantMatrix:
 
     def is_spd(self) -> bool:
         """Every eigenvalue strictly positive."""
-        return bool(np.min(self.eigenvalues) > 0.0)
+        return bool(np.min(self.half_eigenvalues) > 0.0)
 
     def to_dense(self) -> np.ndarray:
         idx = np.subtract.outer(np.arange(self.n), np.arange(self.n)) % self.n
@@ -311,10 +311,10 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
 def circulant_spectrum(C: CirculantMatrix) -> np.ndarray:
     """Eigenvalues of a circulant: the DFT of its first column.
 
-    A writable copy of C.eigenvalues: the O(n w) cosine sum for a banded
-    column, rfft of the column otherwise, mirrored into j > n/2.
+    C.eigenvalues, a new writable array: C.half_eigenvalues mirrored into
+    j > n/2.
     """
-    return np.array(C.eigenvalues, copy=True)
+    return C.eigenvalues
 
 
 def model_spectrum_closed_form(C: CirculantMatrix) -> np.ndarray:
@@ -345,15 +345,14 @@ def strang_type_correction(C: CirculantMatrix) -> CirculantMatrix:
     c_0..c_(n//2) are irfft of the corrected distinct eigenvalues and are
     mirrored into c_(n-k) = c_k, so it is symmetric by construction.
     """
-    n = C.n
-    lam = C.eigenvalues[: n // 2 + 1]  # the distinct eigenvalues
+    n, lam = C.n, C.half_eigenvalues
     good = lam > 0.0
     if not np.any(good):
         raise UncorrectableSpectrum("no eigenvalue is positive")
     if np.all(good):
         return C
     col = np.fft.irfft(np.where(lam != 0.0, np.abs(lam), np.min(lam[good])), n)[: n // 2 + 1]
-    return CirculantMatrix(np.concatenate([col, col[1 : (n + 1) // 2][::-1]]), C.p, C.symbol)
+    return CirculantMatrix(_mirror(col, n), C.p, C.symbol)
 
 
 def toeplitz_matvec(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
@@ -441,15 +440,15 @@ def _half_spectrum(col: np.ndarray, cos: Optional[np.ndarray] = None) -> np.ndar
     """The n//2+1 distinct eigenvalues of the circulant with this symmetric
     first column, by CirculantMatrix's rule: the cosine sum for a banded
     column (_band_halfwidth), rfft(col).real for any other. cos, when
-    given, is _over_a_period(_cos_table(n), n, 1.0)."""
+    given, is _mirror(_cos_table(n), n)."""
     w = _band_halfwidth(col)
     return np.fft.rfft(col).real if w is None else _banded_spectrum(col, w, cos)
 
 
-def _over_a_period(half: np.ndarray, n: int, sign: float) -> np.ndarray:
-    """A table of f(2 pi q / n) for q = 0..n//2 extended to q = 0..n-1 by
-    f(2 pi (n - q) / n) = sign f(2 pi q / n), so that table.take(q,
-    mode="wrap") reads f(2 pi q / n) at any integer q."""
+def _mirror(half: np.ndarray, n: int, sign: float = 1.0) -> np.ndarray:
+    """Values v_q, q = 0..n//2, extended to q = 0..n-1 by v_(n-q) = sign v_q:
+    a spectrum or column of a symmetric circulant, or a table of
+    f(2 pi q / n) that table.take(q, mode="wrap") reads at any integer q."""
     return np.concatenate((half, sign * half[(n + 1) // 2 - 1 : 0 : -1]))
 
 
@@ -459,7 +458,7 @@ def _banded_spectrum(col: np.ndarray, w: int, cos: Optional[np.ndarray] = None) 
     j = np.arange(n // 2 + 1)
     lam = np.full(j.size, col[0])
     if w:
-        cos = _over_a_period(_cos_table(n), n, 1.0) if cos is None else cos
+        cos = _mirror(_cos_table(n), n) if cos is None else cos
         for k in range(1, w + 1):
             lam += 2.0 * col[k] * cos.take(j * k, mode="wrap")
     return lam
@@ -525,7 +524,7 @@ def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.nd
     """The map r -> C^(-1) r for real r, at an n with a prime factor above
     7, with its path name.
 
-    half = eigenvalues[: n // 2 + 1], the distinct eigenvalues.
+    half = C.half_eigenvalues, the distinct eigenvalues.
     banded_cholesky: a banded column (_band_halfwidth) with a positive
     spectrum and a positive definite band is applied by _banded_inverse, in
     O(n w) with no FFT. folded_kernel: otherwise the first column of
@@ -534,12 +533,10 @@ def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.nd
     irfft of length m with the tail y[n:2n-1] folded onto y[:n-1]: circular
     convolution without an FFT of length n. Raises PreconditionerSingular.
     """
-    n = C.n
-    lam = C.eigenvalues
-    _check_nonsingular(lam)
-    half = lam[: n // 2 + 1]
+    n, half = C.n, C.half_eigenvalues
+    _check_nonsingular(half)
     w = _band_halfwidth(C.first_column)
-    if w is not None and float(np.min(lam)) > 0.0:
+    if w is not None and float(np.min(half)) > 0.0:
         banded = _banded_inverse(C.first_column, w)
         if banded is not None:
             return APPLY_BANDED_CHOLESKY, banded
@@ -558,7 +555,7 @@ def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
     """Solve C z = r for a real r of shape (n,) (ValueError otherwise).
 
     When n is 7-smooth, half-spectrum division with real FFTs,
-    irfft(rfft(r) / eigenvalues[: n // 2 + 1]); otherwise the paths of
+    irfft(rfft(r) / half_eigenvalues); otherwise the paths of
     _real_inverse, built for this one call: a banded Cholesky
     factorization for a banded SPD column, and a folded power-of-two
     convolution with the first column of C^(-1) for any other. Raises
@@ -574,8 +571,8 @@ def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
         raise ValueError("operand must be real, got a complex array")
     if not _is_7_smooth(n):
         return _real_inverse(C)[1](r)
-    _check_nonsingular(C.eigenvalues)
-    return np.fft.irfft(np.fft.rfft(r) / C.eigenvalues[: n // 2 + 1], n)
+    _check_nonsingular(C.half_eigenvalues)
+    return np.fft.irfft(np.fft.rfft(r) / C.half_eigenvalues, n)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -605,7 +602,7 @@ class _Eigenbasis:
 
     def __init__(self, T: ToeplitzOperator) -> None:
         n, m = T.n, T.n // 2 + 1
-        cos = _over_a_period(_cos_table(n), n, 1.0)
+        cos = _mirror(_cos_table(n), n)
         col = np.zeros(n)
         for k, v in T.diagonals.items():
             col[k % n] += v  # at most two offsets a class: the sum is symmetric bit for bit
@@ -632,7 +629,7 @@ class _Eigenbasis:
         self.corners = np.zeros((2 * g.size, 2 * g.size))
         self.corners[(part * g.size + g)[:, None], 2 * g + part] = L.T @ S @ L
         k = np.arange(m)
-        sin = _over_a_period(_sin_table(n), n, -1.0) if n_sin else None
+        sin = _mirror(_sin_table(n), n, -1.0) if n_sin else None
         self.rows = np.empty((g.size, m))
         for row in g:
             table, jj = (cos, row) if row < n_cos else (sin, row - n_cos + 1)
@@ -655,9 +652,8 @@ class _Eigenbasis:
 
 
 def _eigenbasis(T: ToeplitzOperator) -> _Eigenbasis:
-    """T's _Eigenbasis, built at the first call and kept on T, as a
-    circulant keeps its eigenvalues: the solves of one operator with
-    several preconditioners share it."""
+    """T's _Eigenbasis, built at the first call and kept on T: the solves
+    of one operator with several preconditioners share it."""
     if T._basis is None:
         object.__setattr__(T, "_basis", _Eigenbasis(T))
     return T._basis
@@ -690,8 +686,8 @@ def _coordinates(T: ToeplitzOperator, M: Optional[CirculantMatrix]) -> tuple:
         apply_path, precondition = (None, np.copy) if M is None else _real_inverse(M)
         return apply_path, precondition, lambda d: toeplitz_matvec(T, d), np.copy, lambda x: x
 
-    _check_nonsingular(M.eigenvalues)
-    E, inv = _eigenbasis(T), M.eigenvalues[: T.n // 2 + 1]
+    _check_nonsingular(M.half_eigenvalues)
+    E, inv = _eigenbasis(T), M.half_eigenvalues
     real = anchor = None
 
     def to_real(x: np.ndarray) -> np.ndarray:

@@ -165,10 +165,12 @@ class TestDecompose:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 2 * CHUNK + 2])
     def test_spectrum_comparison_formats_each_unfolded_row(self, n):
-        # Only bins 0..n//2 are formatted; the oracle formats all n rows.
+        # The report holds bins 0..n//2, each formatted once; the oracle
+        # unfolds them (bin n-k is bin k) and formats all n rows.
         rng = np.random.default_rng(n)
         report = check_energy_conservation(Decomposition.from_parts([rng.standard_normal(n)], rng.standard_normal(n)))
-        rows = zip(report.signal_abs.tolist(), report.components_abs_sum.tolist())
+        unfolded = [np.concatenate((s, s[-2:0:-1])).tolist() for s in (report.signal_abs, report.components_abs_sum)]
+        rows = zip(*unfolded)
         want = "".join(f"{xi},{format_float(a)},{format_float(b)}\n" for xi, (a, b) in enumerate(rows))
         got = written(_spectrum_comparison(report))
         # compared as lines: a failing comparison of long texts is slow to explain
@@ -524,6 +526,8 @@ def test_manifest_parameters_are_the_parsed_flags(tmp_path, capsys, signal_file)
 
 
 def hand_built_report(signal_abs, components_abs_sum, total_energy=2.0):
+    """An EnergyReport with the given spectra at the n//2+1 rfft bins, as
+    check_energy_conservation builds them."""
     return EnergyReport(
         total_energy=total_energy,
         component_energies=(1.0, 1.0),
@@ -539,17 +543,8 @@ def hand_built_report(signal_abs, components_abs_sum, total_energy=2.0):
 class TestReportFiles:
     """Each report file's values are checked before the file is opened."""
 
-    def test_unmirrored_spectrum_is_an_error(self, tmp_path):
-        # bin 3 of n = 4 must repeat bin 1
-        report = hand_built_report([4.0, 1.0, 0.5, 2.0], [4.0, 1.0, 0.5, 1.0])
-        with pytest.raises(ValueError, match="bin n-k differs from bin k"):
-            _spectrum_comparison(report)
-        with pytest.raises(ValueError, match="bin n-k differs from bin k"):
-            _emit_report_files(str(tmp_path), report)
-        assert sorted(os.listdir(tmp_path)) == ["energy_report.json", "energy_report.txt"]
-
     def test_non_finite_spectrum_leaves_no_file(self, tmp_path):
-        report = hand_built_report([4.0, 1.0, 0.5, 1.0], [4.0, np.nan, 0.5, np.nan])
+        report = hand_built_report([4.0, 1.0, 0.5], [4.0, np.nan, 0.5])
         with pytest.raises(ValueError, match="non-finite value nan"):
             _emit_report_files(str(tmp_path), report)
         assert sorted(os.listdir(tmp_path)) == ["energy_report.json", "energy_report.txt"]
@@ -637,3 +632,44 @@ class TestTopLevel:
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        # _banded_inverse imports scipy.linalg on its own path only, keeping
+        # about 6 MB of resident memory off every other command: the signal
+        # and angle commands, the paper grid (7-smooth n: the eigenbasis) and
+        # spectrum at a 7-smooth and a prime n. A preconditioned solve at the
+        # prime 97 takes the banded path and must load it, so the check is
+        # not vacuous.
+        rng = np.random.default_rng(0)
+        f, g = (write_vector(tmp_path / name, rng.standard_normal(16)) for name in ("f.csv", "g.csv"))
+        write_signal_csv(tmp_path / "signal.csv", Signal(rng.standard_normal(256)))
+        argv = [
+            ["energy", str(tmp_path / "signal.csv")],
+            ["angle", f, g, "--p", "1.5"],
+            ["decompose", str(tmp_path / "signal.csv"), "--halfwidths", "2,8", "--out-dir", str(tmp_path / "dec")],
+            ["audit", str(tmp_path / "dec" / "decomposition.json"), "--out-dir", str(tmp_path / "aud")],
+        ]
+        for name, model in (("gentle", (1.0, 2.0, 3.0)), ("stiff", (0.0, 2.0, 8.0))):
+            config = dict(zip(("alpha", "beta", "gamma"), model), n_list=[100, 400, 700, 1000])
+            config.update(p_list=[1.0, 1.4, 1.6, 1.8, 3.0, 5.0, 10.0], correction="on")
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            argv.append(["precond-bench", "--config", str(tmp_path / f"{name}.json"), "--out-dir", str(tmp_path / name)])
+        for n in ("128", "131"):
+            model = ["--alpha", "0", "--beta", "2", "--gamma", "8", "--p", "1.6"]
+            argv.append(["spectrum", *model, "--n", n, "--out-dir", str(tmp_path / f"spec{n}")])
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import numpy as np\n"
+            "from lportho.cli import main\n"
+            "from lportho.toeplitz_preconditioning import ToeplitzSymbol, build_toeplitz, lp_circulant_minimizer, pcg_solve\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(a) for a in json.loads(sys.argv[1])]\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "T = build_toeplitz(ToeplitzSymbol.from_model(1.0, 2.0, 3.0), 97)\n"
+            "path = pcg_solve(T, np.ones(97), lp_circulant_minimizer(T, 1.0)).apply_path\n"
+            "print(json.dumps([codes, loaded, path, 'scipy.linalg' in sys.modules]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("lportho").__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == [[0] * len(argv), [], "banded_cholesky", True]

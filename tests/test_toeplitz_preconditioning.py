@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -445,6 +446,22 @@ class TestCirculantMatrix:
         with pytest.raises(ValueError, match=r"^first_column must be 1-d of length n >= 1$"):
             CirculantMatrix(first, np.array([2.0, 1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("n", [4, 11])
+    def test_replace_computes_the_new_columns_spectrum(self, n):
+        # C's spectrum is read before the copy, which negates the column
+        C = CirculantMatrix(np.r_[3.0, 1.0, np.zeros(n - 3), 1.0])
+        assert C.is_spd()
+        D = dataclasses.replace(C, first_column=-C.first_column)
+        r = np.random.default_rng(n).standard_normal(n)
+        np.testing.assert_allclose(np.sort(D.eigenvalues), np.linalg.eigvalsh(D.to_dense()), atol=1e-13)
+        assert not D.is_spd()
+        np.testing.assert_allclose(circulant_solve(D, r), np.linalg.solve(D.to_dense(), r), rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["_eig", "half_eigenvalues"])
+    def test_spectrum_is_not_a_constructor_argument(self, name):
+        with pytest.raises(TypeError):
+            CirculantMatrix(np.array([2.0, 1.0, 1.0]), **{name: np.ones(3)})
+
     def test_negative_count(self):
         C = CirculantMatrix(np.array([0.0, 1.0]))  # eigenvalues 1, -1
         assert C.num_negative_eigenvalues == 1
@@ -831,6 +848,7 @@ class TestBandedCirculant:
         for name, C in columns.items():
             lam = C.eigenvalues
             assert lam.shape == (n,) and np.array_equal(lam[1:], lam[:0:-1]), name
+            assert np.array_equal(C.half_eigenvalues, lam[: n // 2 + 1]) and not C.half_eigenvalues.flags.writeable
             assert np.array_equal(circulant_spectrum(C), lam), name
             np.testing.assert_allclose(lam, np.fft.fft(C.first_column).real, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(lam))))
         assert columns["corrected"].is_spd()
@@ -924,7 +942,7 @@ class TestEigenbasisOracle:
         # of the residual that replaces the recursive one (p = 10 replaces once)
         T = build_toeplitz(BANDED_SYMBOLS["stiff"], 1000)
         M = lp_circulant_minimizer(T, p)
-        M.eigenvalues, tp._eigenbasis(T)  # built before counting: neither takes an FFT here
+        tp._eigenbasis(T)  # built before counting, as M's spectrum was with M: neither takes an FFT here
         calls = []
         for name in ("rfft", "irfft"):
             fft = getattr(np.fft, name)
