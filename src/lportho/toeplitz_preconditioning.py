@@ -11,23 +11,24 @@ stored offset, and a matrix-vector product is one convolution with it, in
 O(n(2w+1)). A circulant keeps one real spectrum, its n//2+1 distinct
 eigenvalues, computed when built by a rule that reads only its column:
 the cosine sum, in O(n w), for a banded column (a minimizer of a banded
-operator), rfft for any other. The
-solver is a preconditioned conjugate gradient. At a 7-smooth n (no prime
-factor above 7) a preconditioned solve runs in the orthonormal basis of
-the rfft coefficients, where the circulant is a division by its
-eigenvalues and T the circulant wrap of its band less a low-rank
-correction for the wrapped corners, so no FFT runs in the loop. At any
-other n it runs in real space: a banded SPD column is inverted by a
-banded Cholesky factorization with a low-rank correction for the wrapped
-corners, and other columns by a folded power-of-two convolution, so no
-solve takes a slow (Bluestein) FFT of length n, and nothing here a
-complex FFT. It stops at the accuracy float64 attains (the true residual,
-checked when the recursive one reaches tol or its rounding floor,
-decides between converged, a residual replacement and stagnated), with
-explicit failure reporting for singular or indefinite preconditioners and
-indefinite operators. Symbols, operators and
-circulants hold real symmetric data only, the one kind it solves with;
-each checks its data once, at construction, and raises ValueError.
+operator), rfft for any other. The solver is a preconditioned conjugate
+gradient. At an n with a prime factor above 7 a banded SPD column is
+inverted in real space by a banded Cholesky factorization with a
+low-rank correction for the wrapped corners. Any other preconditioned
+solve of an operator whose widest offset is at most MAX_BAND_HALFWIDTH
+runs in the orthonormal basis of the rfft coefficients, where the
+circulant is a division by its eigenvalues and T the circulant wrap of
+its band less a low-rank correction for the wrapped corners: no FFT runs
+in the loop, only on b and at each true-residual check, slow (Bluestein)
+ones at such n. A wider operator runs in real space with one rfft/irfft
+pair per apply, Bluestein at such n. Nothing here takes a complex FFT.
+It stops at the accuracy float64 attains (the true residual, checked
+when the recursive one reaches tol or its rounding floor, decides
+between converged, a residual replacement and stagnated), with explicit
+failure reporting for singular or indefinite preconditioners and
+indefinite operators. Symbols, operators and circulants hold real
+symmetric data only, the one kind it solves with; each checks its data
+once, at construction, and raises ValueError.
 
 The quartic model family f(theta) = alpha + beta(2-2cos) + gamma(2-2cos)^2
 gets dedicated support: pentadiagonal coefficients, a closed-form spectrum
@@ -150,9 +151,9 @@ class ToeplitzOperator:
     toeplitz_matvec convolves with it. A matvec costs O(n(2w+1)) whatever
     the band holds, so one far offset (up to n - 1) makes every product
     O(n^2); the operators this package builds have w <= 2. The first
-    preconditioned pcg_solve at a 7-smooth n keeps the operator's
-    eigenbasis on it (_Eigenbasis: 2r+1 basis rows of length n//2+1, r
-    the widest nonzero offset) for the solves that follow.
+    pcg_solve in its eigenbasis keeps that on it (_Eigenbasis: 2r+1 rows
+    of length n//2+1, r the widest nonzero offset) for the solves that
+    follow; one with r > MAX_BAND_HALFWIDTH builds none (_coordinates).
     """
 
     n: int
@@ -387,9 +388,10 @@ def _is_7_smooth(n: int) -> bool:
     return n == 1
 
 
-# Widest band the banded path takes. Its set-up solves for 2w right-hand
-# sides and its apply carries a rank-2w correction, while an FFT's cost
-# does not grow with the band; the model family has w = 2.
+# Widest band the banded paths take: a circulant column's w (cosine-sum
+# spectrum; banded apply: 2w set-up solves, a rank-2w correction) and an
+# operator's widest nonzero offset r (eigenbasis: 2r+1 rows, O(r^2)
+# corners). An FFT's cost does not grow with the band; the model has w = 2.
 MAX_BAND_HALFWIDTH = 8
 
 
@@ -397,8 +399,8 @@ def _band_halfwidth(col: np.ndarray) -> Optional[int]:
     """w when the banded paths apply to a circulant's first column, else None.
 
     They apply when the (symmetric) column is zero outside offsets -w..w,
-    with w <= MAX_BAND_HALFWIDTH and 4w < n, whatever n's prime factors.
-    Every other column keeps the FFTs.
+    with w <= MAX_BAND_HALFWIDTH and 4w < n: the cosine-sum spectrum at
+    every n, the banded Cholesky apply where _real_inverse takes it.
     """
     n = col.size
     nonzero = np.flatnonzero(col[1 : MAX_BAND_HALFWIDTH + 1])
@@ -516,52 +518,41 @@ def _banded_inverse(col: np.ndarray, w: int) -> Optional[Callable[[np.ndarray], 
 
 
 APPLY_EIGENBASIS = "eigenbasis"
-APPLY_FOLDED_KERNEL = "folded_kernel"
 APPLY_BANDED_CHOLESKY = "banded_cholesky"
+APPLY_SPECTRAL = "spectral"
 
 
 def _real_inverse(C: CirculantMatrix) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
-    """The map r -> C^(-1) r for real r, at an n with a prime factor above
-    7, with its path name.
+    """The map r -> C^(-1) r for real r, with its path name: the one
+    dispatch behind circulant_solve and pcg_solve.
 
-    half = C.half_eigenvalues, the distinct eigenvalues.
-    banded_cholesky: a banded column (_band_halfwidth) with a positive
-    spectrum and a positive definite band is applied by _banded_inverse, in
-    O(n w) with no FFT. folded_kernel: otherwise the first column of
-    C^(-1), irfft(1 / half), is transformed once at the power of two
-    m >= 2n - 1, and an apply is a linear convolution by one rfft and one
-    irfft of length m with the tail y[n:2n-1] folded onto y[:n-1]: circular
-    convolution without an FFT of length n. Raises PreconditionerSingular.
+    banded_cholesky: at an n with a prime factor above 7, a banded column
+    (_band_halfwidth) with a positive spectrum and a positive definite band
+    is applied by _banded_inverse, in O(n w) with no FFT. spectral: every
+    other column, and every column at a 7-smooth n, is the division
+    irfft(rfft(r) / half_eigenvalues), which builds nothing; at an n with
+    a prime factor above 7 its two transforms are Bluestein FFTs. Raises
+    PreconditionerSingular.
     """
     n, half = C.n, C.half_eigenvalues
     _check_nonsingular(half)
-    w = _band_halfwidth(C.first_column)
+    w = None if _is_7_smooth(n) else _band_halfwidth(C.first_column)
     if w is not None and float(np.min(half)) > 0.0:
         banded = _banded_inverse(C.first_column, w)
         if banded is not None:
             return APPLY_BANDED_CHOLESKY, banded
-    m = 1 << (2 * n - 2).bit_length()
-    kernel = np.fft.rfft(np.fft.irfft(1.0 / half, n), m)
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        y = np.fft.irfft(np.fft.rfft(r, m) * kernel, m)
-        y[: n - 1] += y[n : 2 * n - 1]
-        return y[:n]
-
-    return APPLY_FOLDED_KERNEL, apply
+    return APPLY_SPECTRAL, lambda r: np.fft.irfft(np.fft.rfft(r) / half, n)
 
 
 def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
     """Solve C z = r for a real r of shape (n,) (ValueError otherwise).
 
-    When n is 7-smooth, half-spectrum division with real FFTs,
-    irfft(rfft(r) / half_eigenvalues); otherwise the paths of
-    _real_inverse, built for this one call: a banded Cholesky
-    factorization for a banded SPD column, and a folded power-of-two
-    convolution with the first column of C^(-1) for any other. Raises
-    PreconditionerSingular when the smallest eigenvalue modulus does not
-    exceed SINGULARITY_RTOL times the largest (singular to machine
-    precision).
+    The map of _real_inverse, built for this one call: a banded Cholesky
+    factorization for a banded SPD column at an n with a prime factor
+    above 7, and otherwise the division irfft(rfft(r) / half_eigenvalues),
+    which builds nothing. Raises PreconditionerSingular when the smallest
+    eigenvalue modulus does not exceed SINGULARITY_RTOL times the largest
+    (singular to machine precision).
     """
     r = np.asarray(r)
     n = C.n
@@ -569,17 +560,19 @@ def circulant_solve(C: CirculantMatrix, r: np.ndarray) -> np.ndarray:
         raise ValueError(f"operand must have shape ({n},), got {r.shape}")
     if np.iscomplexobj(r):
         raise ValueError("operand must be real, got a complex array")
-    if not _is_7_smooth(n):
-        return _real_inverse(C)[1](r)
-    _check_nonsingular(C.half_eigenvalues)
-    return np.fft.irfft(np.fft.rfft(r) / C.half_eigenvalues, n)
+    return _real_inverse(C)[1](r)
 
 
 _SQRT2 = math.sqrt(2.0)
 
 
+def _widest_offset(T: ToeplitzOperator) -> int:
+    """r, the widest offset at which T holds a nonzero value (0 if none)."""
+    return max((abs(k) for k, v in T.diagonals.items() if v != 0.0), default=0)
+
+
 class _Eigenbasis:
-    """T in the orthonormal basis of the rfft coefficients, at a 7-smooth n.
+    """T in the orthonormal basis of the rfft coefficients.
 
     The coordinates of a real v of length n are the coefficients
     rfft(v)_k scaled by sqrt(w_k / n), w_k the Hermitian weight (1 at k = 0
@@ -607,7 +600,7 @@ class _Eigenbasis:
         for k, v in T.diagonals.items():
             col[k % n] += v  # at most two offsets a class: the sum is symmetric bit for bit
         self.n, self.lam = n, _half_spectrum(col, cos)
-        r = max((abs(k) for k, v in T.diagonals.items() if v != 0.0), default=0)
+        r = _widest_offset(T)
         i = np.arange(n) if 2 * r >= n else np.concatenate((np.arange(r), np.arange(n - r, n)))  # R
         n_cos, n_sin = (min(r, n // 2) + 1 if r else 0), min(r, (n - 1) // 2)
         diff = i[:, None] - i
@@ -673,8 +666,9 @@ def _coordinates(T: ToeplitzOperator, M: Optional[CirculantMatrix]) -> tuple:
     real vector of the solution's coordinates x). Raises
     PreconditionerSingular.
 
-    With M at a 7-smooth n they are T's _Eigenbasis: the apply divides by
-    M's distinct eigenvalues and the product is _eigenbasis_matvec.
+    They are T's _Eigenbasis when _real_inverse(M) is spectral and T's
+    widest nonzero offset is at most MAX_BAND_HALFWIDTH: the apply divides
+    by M's distinct eigenvalues and the product is _eigenbasis_matvec.
     to_real anchors x in real space: it returns the vector it returned
     last time plus the back-transform of what x gained since, so each
     transform rounds only that gain. Otherwise they are real space:
@@ -682,11 +676,10 @@ def _coordinates(T: ToeplitzOperator, M: Optional[CirculantMatrix]) -> tuple:
     writes r in place, so the apply and the coordinates of b are fresh
     arrays), and x is its own real vector.
     """
-    if M is None or not _is_7_smooth(T.n):
-        apply_path, precondition = (None, np.copy) if M is None else _real_inverse(M)
+    apply_path, precondition = (None, np.copy) if M is None else _real_inverse(M)
+    if apply_path != APPLY_SPECTRAL or _widest_offset(T) > MAX_BAND_HALFWIDTH:
         return apply_path, precondition, lambda d: toeplitz_matvec(T, d), np.copy, lambda x: x
 
-    _check_nonsingular(M.half_eigenvalues)
     E, inv = _eigenbasis(T), M.half_eigenvalues
     real = anchor = None
 
@@ -729,9 +722,9 @@ class SolveReport:
     status is "converged" exactly when it meets tol. The exponent behind
     the preconditioner is M.p, on the circulant the solve was given.
     apply_path names how the preconditioned solve ran: "eigenbasis"
-    (see _Eigenbasis), "banded_cholesky" or "folded_kernel" (see
-    _real_inverse); None when unpreconditioned or when nothing was built
-    (b = 0, singular M).
+    (see _Eigenbasis), or in real space "banded_cholesky" or "spectral"
+    (see _real_inverse); _coordinates picks it. None when unpreconditioned
+    or when nothing was built (b = 0, singular M).
     replacements counts the times the recursive residual was replaced by
     the true one. matvecs counts products with T, the true-residual ones
     included, and applies counts applies of M^(-1) (0 when
@@ -774,16 +767,16 @@ def pcg_solve(
     converged if the true residual meets tol. T and M are real symmetric
     by construction. Each iteration makes one apply of M^(-1) and one
     product with T, in the coordinates _coordinates picks once per solve,
-    before the first iteration. With M at a 7-smooth n they are T's
-    eigenbasis (_Eigenbasis): the apply is a division by M's eigenvalues
-    and the product _eigenbasis_matvec, so the loop takes no FFT but one
-    rfft of b and, at each true-residual check, an irfft of what x gained
-    since the last check, added to the real solution of that check (x
-    anchored in real space) and then an rfft of the residual if it
-    replaces the recursive one. Otherwise the solve runs in real space:
-    toeplitz_matvec, one convolution with T's kernel, and at other n a
-    banded Cholesky apply for a banded SPD M, a folded power-of-two
-    convolution otherwise (_real_inverse). The true residual is
+    before the first iteration. In T's eigenbasis (_Eigenbasis) the apply
+    is a division by M's eigenvalues and the product _eigenbasis_matvec,
+    so the loop takes no FFT but one rfft of b and, at each true-residual
+    check, an irfft of what x gained since the last check, added to the
+    real solution of that check (x anchored in real space) and then an
+    rfft of the residual if it replaces the recursive one. Real space
+    takes toeplitz_matvec, one convolution with T's kernel, and a banded
+    Cholesky apply for a banded SPD M at an n with a prime factor above
+    7, or for an operator wider than MAX_BAND_HALFWIDTH one rfft/irfft
+    pair per apply (_real_inverse). The true residual is
     b - toeplitz_matvec(T, x) in real space on either path. The report's
     apply_path names the path, and its matvecs, applies and replacements
     count the work.

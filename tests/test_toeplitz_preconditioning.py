@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -657,8 +658,8 @@ class TestCirculantSolve:
         with pytest.raises(PreconditionerSingular):
             circulant_solve(C, np.ones(100))
 
-    # 1, 2 and 3 have no prime factor above 7 (half-spectrum division);
-    # 11, 13, 97 and 1009 take the folded power-of-two convolution.
+    # The columns are dense, so every n takes the spectral division
+    # irfft(rfft(r) / lambda): 11, 13, 97 and 1009 by Bluestein transforms.
     @pytest.mark.parametrize("n", [1, 2, 3, 11, 13, 97, 1009])
     def test_real_paths_match_dense_solve(self, n):
         rng = np.random.default_rng(n)
@@ -788,34 +789,36 @@ class TestBandedCirculant:
         exact = np.sin(8 * np.arctan(np.longdouble(1)) * m / n)
         assert float(np.max(np.abs(table - exact))) <= EPS
 
-    def test_indefinite_band_keeps_folded_kernel(self):
+    def test_indefinite_band_takes_eigenbasis(self):
         n = 1009
         T = build_toeplitz(BANDED_SYMBOLS["stiff"], n)
         C = lp_circulant_minimizer(T, 1.4)
         assert np.min(fft_spectrum(C)) < 0
         report = pcg_solve(T, np.ones(n), C)
         assert report.status == "preconditioner_indefinite"
-        assert report.apply_path == "folded_kernel"
+        assert report.apply_path == "eigenbasis"
 
-    def test_corrected_column_takes_folded_kernel(self):
+    def test_corrected_column_takes_eigenbasis(self):
         n = 97
         T = build_toeplitz(BANDED_SYMBOLS["stiff"], n)
         C = strang_type_correction(lp_circulant_minimizer(T, 1.4))
         assert np.count_nonzero(C.first_column) > 2 * 8 + 1  # dense: no longer banded
-        assert apply_path(C, n) == "folded_kernel"
+        assert apply_path(C, n) == "eigenbasis"
         r = np.random.default_rng(5).standard_normal(n)
         want = np.linalg.solve(C.to_dense(), r)
         np.testing.assert_allclose(circulant_solve(C, r), want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("n, name", [(11, "w3"), (97, None)])
-    def test_wide_band_takes_folded_kernel(self, n, name):
-        # n = 11 with w = 3 has 4w >= n; at n = 97 a band of 9 exceeds the cap
+    @pytest.mark.parametrize("n, name, path", [(11, "w3", "eigenbasis"), (97, None, "spectral")])
+    def test_wide_band_takes_spectral_inverse(self, n, name, path):
+        # n = 11 with w = 3 has 4w >= n; at n = 97 a band of 9 exceeds the
+        # cap, which also keeps that operator out of the eigenbasis
         symbol = BANDED_SYMBOLS[name] if name else ToeplitzSymbol(
             {k: (20.0 if k == 0 else -0.5) for k in range(-9, 10)}
         )
-        C = lp_circulant_minimizer(build_toeplitz(symbol, n), 2.0)
+        T = build_toeplitz(symbol, n)
+        C = lp_circulant_minimizer(T, 2.0)
         assert np.min(fft_spectrum(C)) > 0
-        assert apply_path(C, n) == "folded_kernel"
+        assert pcg_solve(T, np.ones(n), C, maxit=0).apply_path == path
         r = np.random.default_rng(n).standard_normal(n)
         np.testing.assert_allclose(circulant_solve(C, r), np.linalg.solve(C.to_dense(), r), rtol=1e-12, atol=1e-13)
 
@@ -873,7 +876,8 @@ class TestBandedCirculant:
 
 
 # ---------------------------------------------------------------------------
-# The eigenbasis PCG iterates in at a 7-smooth n: coordinates are the rfft
+# The eigenbasis PCG iterates in for a spectral preconditioner and an
+# operator no wider than MAX_BAND_HALFWIDTH: coordinates are the rfft
 # coefficients scaled by sqrt(w_k / n) (w_k = 1 at k = 0 and k = n/2, else
 # 2), real parts then imaginary parts. Oracles: numpy's rfft and irfft of
 # dense products and dense solves built here.
@@ -916,17 +920,24 @@ class TestEigenbasisOracle:
 
     @pytest.mark.parametrize("n, band", [(6, 5), (12, 11), (12, 4), (64, 5), (100, 49)])
     def test_wide_and_overlapping_corners_match_dense_product(self, n, band):
-        # 2 band >= n: the wrapped corners share rows, and W covers them all
+        # 2 band >= n: the wrapped corners share rows, and W covers them all.
+        # pcg_solve runs a band over MAX_BAND_HALFWIDTH in real space, so
+        # its basis is built directly
         rng = np.random.default_rng(100 * n + band)
         T = random_symmetric_operator(rng, n, band)
-        self.check_product(T, dense_from_diagonals(n, T.diagonals), rng)
+        self.check_product(T, dense_from_diagonals(n, T.diagonals), rng, direct=band > tp.MAX_BAND_HALFWIDTH)
 
     @staticmethod
-    def check_product(T, dense, rng):
+    def check_product(T, dense, rng, direct=False):
         n = T.n
         M = CirculantMatrix(np.r_[1.0, np.zeros(n - 1)])
-        path, _, matvec, to_coords, _ = tp._coordinates(T, M)
-        assert path == "eigenbasis"
+        if direct:
+            assert pcg_solve(T, np.ones(n), M, maxit=0).apply_path == "spectral"
+            E = tp._Eigenbasis(T)
+            matvec, to_coords = (lambda d: tp._eigenbasis_matvec(E, d)), E.to_coords
+        else:
+            path, _, matvec, to_coords, _ = tp._coordinates(T, M)
+            assert path == "eigenbasis"
         for _ in range(3):
             d = random_coords(rng, n)
             want = oracle_coords(dense @ oracle_real(d, n))
@@ -952,6 +963,41 @@ class TestEigenbasisOracle:
         assert report.replacements == (1 if p == 10.0 else 0)
         checks = report.replacements + 1
         assert calls.count("irfft") == checks and calls.count("rfft") == 1 + report.replacements
+
+    def test_prime_n_transforms_only_b_and_at_checks(self, monkeypatch):
+        # a Strang-corrected (dense) column at the prime 1009 is no banded
+        # Cholesky case, so it too runs in the eigenbasis: its Bluestein
+        # transforms are those of b and of the checks, none per iteration
+        n = 1009
+        T = build_toeplitz(BANDED_SYMBOLS["stiff"], n)
+        M = strang_type_correction(lp_circulant_minimizer(T, 1.4))
+        tp._eigenbasis(T)
+        calls = []
+        for name in ("rfft", "irfft"):
+            fft = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, name=name, fft=fft, **k: calls.append(name) or fft(*a, **k))
+        report = pcg_solve(T, np.ones(n), M)
+        assert report.apply_path == "eigenbasis" and report.status == "converged" and report.iterations > 2
+        assert calls.count("irfft") == report.replacements + 1 and calls.count("rfft") == 1 + report.replacements
+
+    def test_wide_operator_builds_no_eigenbasis(self):
+        # t_k = 0.5^|k| out to |k| = n/2 - 1 at the 7-smooth n = 1000: its
+        # basis would hold O(n^2) corners, so the solve runs in real space
+        n = 1000
+        T = ToeplitzOperator(n, {k: (3.0 if k == 0 else 0.5 ** abs(k)) for k in range(-499, 500)})
+        M = lp_circulant_minimizer(T, 2.0)
+        b = np.random.default_rng(3).standard_normal(n)
+        dense = T.to_dense()
+        want = np.linalg.solve(dense, b)
+        tracemalloc.start()
+        try:
+            report = pcg_solve(T, b, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "converged" and report.apply_path == "spectral" and T._basis is None
+        assert peak < 2 * 2**20
+        assert np.linalg.norm(report.solution - want) <= np.linalg.cond(dense) * (DEFAULT_PCG_TOL + 64 * EPS) * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n", EIGENBASIS_N)
     def test_apply_matches_dense_solve(self, n):
