@@ -4,18 +4,19 @@ All numeric output files use 17 significant digits, the bytes of
 format_float ("%.17g"), so that reruns diff cleanly and every double
 round-trips exactly. Output is streamed through a Writer: a callable that
 is handed a write function (an open file's write, or a list's append) and
-writes the text in pieces. json_writer and table_writer check every value
-before they return their Writer, so a caller that builds the Writer before
-it opens its file never leaves a partial file behind: a non-finite value
-raises ValueError, with format_float's message, before anything is written.
+writes the text in pieces. Each *_writer checks every value before it
+returns its Writer, so a caller that builds the Writer before it opens
+its file never leaves a partial file behind: a non-finite value raises
+ValueError, with format_float's message, before anything is written.
 
 Every numeric table (a float64 array in a JSON document, a CSV of spectra
 or samples) is a Rows: a template such as "%d,%.17g\\n" over equal-length
 columns. Rows.write formats and writes CHUNK rows at a time, and one numpy
-kernel formats at most CHUNK values per pass, so no more than a block's
-arrays and text are held. The kernel gives the bytes of "%.17g" % v
-exactly. For |v| in [1e-4, 1e16), where %g uses fixed notation, it works
-in three steps:
+kernel formats at most CHUNK values of one column per pass, so no more
+than a block's arrays and text are held; mirrored_table_writer formats a
+real spectrum's n//2+1 distinct rows once. The kernel gives the bytes of
+"%.17g" % v exactly. For |v| in [1e-4, 1e16), where %g uses fixed
+notation, it works in three steps:
 
 1. Digits. k = floor(log10 |v|), and Dekker's two-product with Veltkamp
    splitting gives the exact product |v| * 10^(16 - k) = hi + lo (10^j is
@@ -29,7 +30,8 @@ in three steps:
    digits. A mask chosen by k keeps each byte or makes it NUL, and the
    fraction's last nonzero group comes from a second table with its
    trailing zeros as NUL. Each row of a block is one row of a NUL-padded
-   uint8 matrix: each column's words, then the literal text after it.
+   uint8 matrix: each column's words, then the literal text after it. The
+   tables are built on the first pass, not at import.
 3. Text. A block's NULs are removed by one bytes.translate.
 
 Every other value goes through "%.17g" % v on its own, and its text
@@ -48,6 +50,7 @@ input, one number per line, is read back by read_numbers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -63,6 +66,7 @@ __all__ = [
     "check_finite",
     "rows_text",
     "table_writer",
+    "mirrored_table_writer",
     "json_writer",
     "dumps_json",
     "read_numbers",
@@ -90,6 +94,7 @@ def check_finite(*arrays: np.ndarray) -> None:
             format_float(float(a[~np.isfinite(a)][0]))
 
 
+@functools.cache
 def _kernel_tables() -> tuple:
     """The kernel's constant tables, built from short byte strings. Column c of a
     per-exponent table serves the exponent k = c - 5 estimated from log10,
@@ -126,7 +131,6 @@ def _kernel_tables() -> tuple:
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant for 53-bit doubles
 _ONE = 5  # the column of k = 0
-_POWERS, _GROUPS, _HEADS, _KEEP, _POINT = _kernel_tables()
 _LAST = np.array([[0], [0], [0], [10**4]])  # the last fraction group always drops its trailing zeros
 
 
@@ -135,6 +139,7 @@ def _value_words(x: np.ndarray, int_words: int) -> np.ndarray:
     NUL-padded uint32 words: an array of shape (1 + int_words + 4, x.size),
     one column per value. int_words (1 to 4) must cover the integer digits
     and point of every value below 1e16 (see _int_words)."""
+    powers, groups, heads, keep, point = _kernel_tables()
     n = x.size
     a = np.abs(x)
     np.maximum(a, 9.9e-5, out=a)  # zero, subnormals and huge values land
@@ -144,7 +149,7 @@ def _value_words(x: np.ndarray, int_words: int) -> np.ndarray:
     col = e.astype(np.intp)  # floor, as e > 0; an off-by-one k lands off the grid
     # Step 1: hi + lo = a * 10**(16 - k) exactly (Dekker's two-product).
     # As a is clipped and k is off by at most one, 1e15 < hi < 1e18.
-    p = _POWERS.take(col, axis=1)
+    p = powers.take(col, axis=1)
     hi_lo = np.empty((2, n))
     hi, lo = hi_lo
     np.multiply(a, p[0], out=hi)
@@ -172,20 +177,20 @@ def _value_words(x: np.ndarray, int_words: int) -> np.ndarray:
     # Step 2: the words.
     words = np.empty((1 + int_words + 4, n), np.uint32)
     below_one = col < _ONE
-    _HEADS.take(np.where(below_one, 0, g[0]), out=words[0], mode="clip")
+    heads.take(np.where(below_one, 0, g[0]), out=words[0], mode="clip")
     words[0] |= (x < 0) * np.uint32(45)
-    _GROUPS.take(np.where(below_one, g[0], g[1]), out=words[1])
-    _GROUPS.take(g[2:1 + int_words], out=words[2:1 + int_words])
+    groups.take(np.where(below_one, g[0], g[1]), out=words[1])
+    groups.take(g[2:1 + int_words], out=words[2:1 + int_words])
     # A fraction group is written without its trailing zeros (the second
-    # half of _GROUPS) when every later group is 0: digits 13..16 always,
+    # half of groups) when every later group is 0: digits 13..16 always,
     # 9..12 when g[4] is 0, 5..8 when g[6] is, 1..4 when g[2] and g[6] are.
     tail = g[[2, 6, 4]] == 0
     tail[0] &= tail[1]
     last = g[1:5] + _LAST
     last[:3] += tail * 10**4
-    _GROUPS.take(last, out=words[1 + int_words:])
-    words[1:] &= _KEEP[int_words].take(col, axis=1)
-    words[1:1 + int_words] |= _POINT[:int_words].take(col, axis=1) * words[1 + int_words:].any(axis=0)
+    groups.take(last, out=words[1 + int_words:])
+    words[1:] &= keep[int_words].take(col, axis=1)
+    words[1:1 + int_words] |= point[:int_words].take(col, axis=1) * words[1 + int_words:].any(axis=0)
     if slow.size:
         text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{4 * words.shape[0]}")
         words[:, slow] = text.view("<u4").reshape(slow.size, -1).T
@@ -245,18 +250,15 @@ class Rows:
         """Rows start..stop-1 (stop is clipped to n) as a NUL-padded uint8
         matrix, one row of it per row of text: rows_text gives the text.
         The last row keeps its sep."""
-        parts = [c[start:stop] for c in self.columns]
-        rows, width = len(parts[0]), len(parts)
-        values = np.empty((rows, width))
-        for i, part in enumerate(parts):
-            values[:, i] = np.arange(part.start, part.stop, part.step) if isinstance(part, range) else part
-        out = np.empty((rows, self.blank.size), np.uint8)
-        out[:] = self.blank
-        step = max(1, CHUNK // width)
-        for first in range(0, rows, step):
-            words = _value_words(values[first:first + step].ravel(), self.int_words)
-            for i, (offset, count) in enumerate(self.fields):
-                out[first:first + step, offset:offset + 4 * count].view("<u4")[...] = words[:count, i::width].T
+        rows = len(range(self.n)[start:stop])
+        out = np.tile(self.blank, (rows, 1))
+        for column, (offset, count) in zip(self.columns, self.fields):
+            part = column[start:stop]
+            values = np.arange(part.start, part.stop, part.step) if isinstance(part, range) else part
+            values = values.astype(float, copy=False)
+            field = out[:, offset:offset + 4 * count].view("<u4")
+            for first in range(0, rows, CHUNK):
+                field[first:first + CHUNK] = _value_words(values[first:first + CHUNK], self.int_words)[:count].T
         return out
 
     def write(self, write: Callable[[str], Any]) -> None:
@@ -282,6 +284,28 @@ def table_writer(head: str, row: str, *columns: Column) -> Writer:
     def write_table(write: Callable[[str], Any]) -> None:
         write(head)
         rows.write(write)
+
+    return write_table
+
+
+def mirrored_table_writer(head: str, row: str, n: int, *halves: np.ndarray) -> Writer:
+    """table_writer(head, row, range(n), *columns) for the columns of a real
+    spectrum, v_(n-j) == v_j, given as their n//2+1 distinct values: row
+    starts with "%d" and its text, and each half is checked here, n//2+1
+    finite values (ValueError otherwise). Each distinct row is formatted
+    once, and row j > n/2 takes the value bytes of row n - j."""
+    index_row = re.match(r"%d[^%]+", row)
+    if index_row is None or any(np.shape(h) != (n // 2 + 1,) for h in halves):
+        raise ValueError(f"a mirrored table of {n} rows takes a row that starts with %d and columns of {n // 2 + 1} values")
+    check_finite(*halves)
+    index, values = Rows(index_row[0], range(n)), Rows(row[index_row.end():], *halves)
+
+    def write_table(write: Callable[[str], Any]) -> None:
+        distinct = values.block(0, n // 2 + 1)
+        write(head)
+        for start in range(0, n, CHUNK):
+            j = np.arange(start, min(start + CHUNK, n))
+            write(rows_text(np.hstack([index.block(start, start + CHUNK), distinct[np.minimum(j, n - j)]])))
 
     return write_table
 

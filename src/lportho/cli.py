@@ -14,10 +14,13 @@ Every file-producing command drops a manifest.json alongside its outputs;
 reruns with the same manifest are bit-identical except for the timestamp.
 All floating-point output carries 17 significant digits. Numeric tables
 are formatted from the float64 arrays by one vectorised kernel, the exact
-bytes of "%.17g", and streamed to their files a block of rows
-(_serialize.CHUNK) at a time; each file's values are checked before the
-file is opened, so a failed command leaves no partial file. Set
-LPORTHO_LOG to DEBUG/INFO/WARNING to control verbosity.
+bytes of "%.17g", and streamed to their files a block of rows at a time;
+each file's values are checked before the file is opened, so a failed
+command leaves no partial file. Every real spectrum (spectrum_comparison.csv,
+the spectra of precond-bench, circulant_spectrum.csv) is written from its
+n//2+1 distinct values by _serialize.mirrored_table_writer, each distinct
+row formatted once. Set LPORTHO_LOG to DEBUG/INFO/WARNING to control
+verbosity.
 """
 
 from __future__ import annotations
@@ -33,18 +36,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from ._serialize import (
-    CHUNK,
-    Rows,
-    Writer,
-    check_finite,
-    dumps_json,
-    format_float,
-    json_writer,
-    read_numbers,
-    rows_text,
-    table_writer,
-)
+from ._serialize import Writer, dumps_json, format_float, json_writer, mirrored_table_writer, read_numbers, table_writer
 from .banach_geometry import DEFAULT_ORTHO_TOL, DiscreteFunction, GeometryResult, is_orthogonal, pair_geometry
 from .signal_decomposition import (
     EnergyReport,
@@ -61,7 +53,6 @@ from .toeplitz_preconditioning import (
     DENSE_DIAGNOSTIC_LIMIT,
     ToeplitzSymbol,
     build_toeplitz,
-    circulant_spectrum,
     lp_circulant_minimizer,
     preconditioned_spectrum_diagnostic,
     render_table_csv,
@@ -168,34 +159,12 @@ def _report_text(report: EnergyReport) -> str:
 
 def _spectrum_comparison(report: EnergyReport) -> Writer:
     """A Writer of spectrum_comparison.csv: xi, |s_hat(xi)| and
-    sum_k |phi_k_hat(xi)| for xi = 0..n-1.
-
-    The report holds the m = n//2+1 rfft bins of real signals of even
-    length n = 2(m-1), and bin n-k mirrors bin k, so each stored row is
-    formatted once, a block of CHUNK rows at a time, and row n-k takes row
-    k's bytes. ValueError, before anything is written, unless the values
-    are finite.
+    sum_k |phi_k_hat(xi)| for xi = 0..n-1, from the report's n//2+1 rfft
+    bins of real signals of even length n (bin n-k mirrors bin k).
+    ValueError, before anything is written, unless the values are finite.
     """
     spectra = (report.signal_abs, report.components_abs_sum)
-    n, m = 2 * spectra[0].size - 2, spectra[0].size
-    check_finite(*spectra)
-
-    def write_table(write) -> None:
-        spectra_rows = Rows("%.17g,%.17g\n", *spectra)
-        xi = Rows("%d,", range(n))
-        starts = range(0, m, CHUNK)
-        distinct = [spectra_rows.block(start, start + CHUNK) for start in starts]
-        write("xi,signal_abs,components_abs_sum\n")
-        for start, block in zip(starts, distinct):
-            write(rows_text(np.hstack([xi.block(start, start + len(block)), block])))
-        # Rows m..n-1 are distinct rows n-m..1: each block's share, reversed, last block first.
-        for start, block in zip(reversed(starts), reversed(distinct)):
-            low, high = max(start, 1), min(start + len(block), n - m + 1)
-            if low < high:
-                mirrored = block[low - start:high - start][::-1]
-                write(rows_text(np.hstack([xi.block(n - high + 1, n - low + 1), mirrored])))
-
-    return write_table
+    return mirrored_table_writer("xi,signal_abs,components_abs_sum\n", "%d,%.17g,%.17g\n", 2 * spectra[0].size - 2, *spectra)
 
 
 def _emit_report_files(out_dir: str, report: EnergyReport) -> list[str]:
@@ -237,8 +206,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spectrum_csv(eigenvalues: np.ndarray) -> Writer:
-    return table_writer("j,lambda\n", "%d,%.17g\n", range(len(eigenvalues)), np.asarray(eigenvalues, dtype=float))
+def _spectrum_csv(n: int, half_eigenvalues: np.ndarray) -> Writer:
+    """A Writer of j, lambda_j for j = 0..n-1 from n//2+1 distinct eigenvalues."""
+    return mirrored_table_writer("j,lambda\n", "%d,%.17g\n", n, half_eigenvalues)
 
 
 def _cmd_precond_bench(args: argparse.Namespace) -> int:
@@ -250,9 +220,9 @@ def _cmd_precond_bench(args: argparse.Namespace) -> int:
         _write(args.out_dir, "table.md", render_table_markdown(result)),
     ]
     for cell in result.cells:
-        if cell.circulant_eigenvalues is not None:
+        if cell.half_eigenvalues is not None:
             name = os.path.join("spectra", f"spectrum_n{cell.n}_p{cell.p:g}.csv")
-            outputs.append(_write(args.out_dir, name, _spectrum_csv(cell.circulant_eigenvalues)))
+            outputs.append(_write(args.out_dir, name, _spectrum_csv(cell.n, cell.half_eigenvalues)))
     _write_manifest(args, ["config"], outputs, config.to_dict(), config.seed)
     log.info("benchmark written to %s", args.out_dir)
     sys.stdout.write(render_table_markdown(result))
@@ -265,8 +235,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     corrected = args.correction == "on" and not C.is_spd()
     if corrected:
         C = strang_type_correction(C)
-    lam = circulant_spectrum(C)
-    outputs = [_write(args.out_dir, "circulant_spectrum.csv", _spectrum_csv(lam))]
+    lam = C.half_eigenvalues
+    outputs = [_write(args.out_dir, "circulant_spectrum.csv", _spectrum_csv(args.n, lam))]
     summary: dict = {
         "n": args.n,
         "p": args.p,
@@ -277,7 +247,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     }
     if args.n <= DENSE_DIAGNOSTIC_LIMIT and C.is_spd():
         diag = preconditioned_spectrum_diagnostic(T, C)
-        outputs.append(_write(args.out_dir, "preconditioned_spectrum.csv", _spectrum_csv(diag.eigenvalues)))
+        writer = table_writer("j,lambda\n", "%d,%.17g\n", range(args.n), diag.eigenvalues)
+        outputs.append(_write(args.out_dir, "preconditioned_spectrum.csv", writer))
         summary["cluster_fractions"] = {format(r, "g"): v for r, v in diag.cluster_fractions.items()}
     else:
         summary["cluster_fractions"] = None

@@ -991,12 +991,14 @@ class BenchmarkConfig:
 
 @dataclass(frozen=True)
 class BenchmarkCell:
-    """One (n, p) solver run; p is None for the unpreconditioned column."""
+    """One (n, p) solver run; p and half_eigenvalues, the preconditioner's
+    own read-only CirculantMatrix.half_eigenvalues, are None for the
+    unpreconditioned column."""
 
     n: int
     p: Optional[float]
     report: SolveReport
-    circulant_eigenvalues: Optional[np.ndarray] = None
+    half_eigenvalues: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -1023,7 +1025,7 @@ def _bench_cell(T: ToeplitzOperator, p: Optional[float], b: np.ndarray, config: 
         except UncorrectableSpectrum:
             pass  # run with the raw circulant; failure shows in the report
     report = pcg_solve(T, b, C, config.tol, config.maxit)
-    return BenchmarkCell(n, p, report, circulant_spectrum(C))
+    return BenchmarkCell(n, p, report, C.half_eigenvalues)
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:

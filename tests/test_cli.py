@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lportho._serialize import CHUNK, format_float
+from lportho._serialize import CHUNK, format_float, table_writer
 from lportho.cli import _emit_report_files, _spectrum_comparison, _spectrum_csv, main
 from lportho.signal_decomposition import (
     Decomposition,
@@ -21,6 +21,7 @@ from lportho.signal_decomposition import (
     pairwise_l1_angles,
     write_signal_csv,
 )
+from lportho.toeplitz_preconditioning import ToeplitzSymbol, build_toeplitz, lp_circulant_minimizer
 
 
 def written(writer):
@@ -309,6 +310,19 @@ class TestPrecondBench:
             tables.append((out_dir / "table.csv").read_bytes())
         assert tables[0] == tables[1] == tables[2]
 
+    def test_spectra_at_an_odd_n_across_block_seams(self, tmp_path, capsys):
+        # Each spectrum is written from its n//2+1 distinct eigenvalues; the
+        # oracle formats all n of C.eigenvalues as one table.
+        n = 2 * CHUNK + 1
+        cfg = self.write_config(tmp_path, {"alpha": 0, "beta": 2, "gamma": 8, "n_list": [n], "p_list": [1.0, 2.0], "correction": "off"})
+        out_dir = tmp_path / "bench"
+        assert run_cli(capsys, ["precond-bench", "--config", cfg, "--out-dir", str(out_dir)])[0] == 0
+        T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), n)
+        for p in (1.0, 2.0):
+            lam = lp_circulant_minimizer(T, p).eigenvalues
+            want = written(table_writer("j,lambda\n", "%d,%.17g\n", range(n), lam))
+            assert (out_dir / "spectra" / f"spectrum_n{n}_p{p:g}.csv").read_text().splitlines(keepends=True) == want.splitlines(keepends=True)
+
     BAD_VALUES = [("alpha", "1"), ("alpha", [1]), ("tol", "1e-3"), ("maxit", 2.5), ("n_list", [16.7]), ("p_list", [None]), ("seed", True)]
 
     @pytest.mark.parametrize("key, value", BAD_VALUES, ids=[f"{k}={v!r}" for k, v in BAD_VALUES])
@@ -382,12 +396,16 @@ class TestPrecondBench:
 
 
 class TestSpectrum:
-    def test_spectrum_csv_rows(self, tmp_path):
+    def test_spectrum_csv_rows(self):
+        # The n//2+1 distinct eigenvalues, unfolded by the oracle
+        # (lambda_(n-j) is lambda_j) and formatted one row at a time.
         rng = np.random.default_rng(5)
         edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16, 1e17, 1.7976931348623157e308, 3.0]
-        lam = np.concatenate([rng.standard_normal(9), edges, np.negative(edges)])
-        rows = [f"{j},{format_float(v)}" for j, v in enumerate(lam)]
-        assert written(_spectrum_csv(lam)) == "j,lambda\n" + "".join(r + "\n" for r in rows)
+        half = np.concatenate([rng.standard_normal(10), edges, np.negative(edges)])
+        for n in (2 * half.size - 2, 2 * half.size - 1):
+            lam = [half[min(j, n - j)] for j in range(n)]
+            rows = [f"{j},{format_float(v)}" for j, v in enumerate(lam)]
+            assert written(_spectrum_csv(n, half)) == "j,lambda\n" + "".join(r + "\n" for r in rows)
 
     def test_diagnostic_summary(self, tmp_path, capsys):
         out_dir = tmp_path / "spec"

@@ -12,10 +12,12 @@ from lportho._serialize import (
     dumps_json,
     format_float,
     json_writer,
+    mirrored_table_writer,
     read_numbers,
     rows_text,
     table_writer,
 )
+import lportho._serialize as serialize
 
 
 def format_rows(row, *columns, sep=""):
@@ -154,6 +156,82 @@ def test_write_rows_at_chunk_seams(rows, layout):
     assert [part.count("\n" if not sep else sep) for part in parts] == [CHUNK] * (len(parts) - 1) + [
         (rows - 1) % CHUNK + (not sep)
     ]
+
+
+@pytest.mark.parametrize("rows", [CHUNK, 2 * CHUNK + 1])
+def test_rows_block_takes_one_kernel_pass_per_column_and_chunk(rows, monkeypatch):
+    formatted = []
+    kernel = serialize._value_words
+    monkeypatch.setattr(serialize, "_value_words", lambda x, words: formatted.append(x.size) or kernel(x, words))
+    values = RNG.standard_normal(rows)
+    block = Rows("%d,%.17g,%.17g\n", range(rows), values, -values).block(0, rows)
+    assert formatted == [min(CHUNK, rows - start) for start in range(0, rows, CHUNK)] * 3
+    assert rows_text(block) == format_rows("%d,%.17g,%.17g\n", range(rows), values.tolist(), (-values).tolist())
+
+
+MIRROR_ROWS = [1, 2, 3, 4, 5, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 2, 4 * CHUNK + 3]
+MIRROR_EDGES = [-0.0, 5e-324, 1e-5, 1e16, 1e17, 1.7976931348623157e308]
+
+
+def half_spectra(n, width):
+    """width columns of n//2+1 distinct values over all exponents; at small
+    n as many of MIRROR_EDGES as fit, starting at a place set by n."""
+    rng = np.random.default_rng(n)
+    m = n // 2 + 1
+    halves = []
+    for c in range(width):
+        half = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, m)
+        edges = np.roll(MIRROR_EDGES, n + c)[:m]
+        half[rng.permutation(m)[: edges.size]] = edges
+        halves.append(half)
+    return halves
+
+
+def written(writer):
+    parts = []
+    writer(parts.append)
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("n", MIRROR_ROWS)
+def test_mirrored_table_is_the_table_of_the_mirrored_columns(n, width, monkeypatch):
+    halves = half_spectra(n, width)
+    j = np.arange(n)
+    mirrored = [half[np.minimum(j, n - j)] for half in halves]  # v_(n-j) = v_j
+    row = "%d" + ",%.17g" * width + "\n"
+    want = written(table_writer("j,v\n", row, range(n), *mirrored))
+    formatted = []
+    kernel = serialize._value_words
+    monkeypatch.setattr(serialize, "_value_words", lambda x, words: formatted.append(x.size) or kernel(x, words))
+    got = written(mirrored_table_writer("j,v\n", row, n, *halves))
+    assert lines(got) == lines(want)
+    # Each distinct value is formatted once, and each index of the n rows.
+    assert sum(formatted) == n + width * (n // 2 + 1) and max(formatted) <= CHUNK
+
+
+@pytest.mark.parametrize(
+    "row, halves",
+    [
+        ("%.17g,%.17g\n", [np.ones(3)]),
+        ("%d,%.17g\n", [np.ones(4)]),
+        ("%d,%.17g,%.17g\n", [np.ones(3), np.ones(2)]),
+        ("%d,%.17g\n", [np.ones((3, 1))]),
+    ],
+    ids=["no_index", "too_long", "unequal_lengths", "two_dimensional"],
+)
+def test_mirrored_table_rejects_other_shapes(row, halves):
+    with pytest.raises(ValueError):
+        mirrored_table_writer("", row, 4, *halves)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mirrored_table_checks_before_it_writes(bad):
+    with pytest.raises(ValueError) as per_value_error:
+        format_float(bad)
+    with pytest.raises(ValueError) as error:
+        mirrored_table_writer("head\n", "%d,%.17g,%.17g\n", 4 * CHUNK, np.ones(2 * CHUNK + 1), np.r_[np.ones(2 * CHUNK), bad])
+    assert str(error.value) == str(per_value_error.value)
 
 
 @pytest.mark.parametrize("rows", [0, 1] + SEAM_ROWS[1:])

@@ -1442,8 +1442,18 @@ class TestBenchmark:
         assert len(result.cells) == 2  # p = 1 plus the unpreconditioned column
         assert result.cell(100, 1.0).report.iterations == 3
         assert result.cell(100, None).report.status == "converged"
-        assert result.cell(100, 1.0).circulant_eigenvalues is not None
-        assert result.cell(100, None).circulant_eigenvalues is None
+        assert result.cell(100, 1.0).half_eigenvalues is not None
+        assert result.cell(100, None).half_eigenvalues is None
+
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_cell_holds_the_circulants_own_half_spectrum(self, monkeypatch, n):
+        built = []
+        minimizer = tp.lp_circulant_minimizer
+        monkeypatch.setattr(tp, "lp_circulant_minimizer", lambda T, p: built.append(minimizer(T, p)) or built[-1])
+        cell = run_benchmark(BenchmarkConfig(1, 2, 3, (n,), (1.0,))).cell(n, 1.0)
+        [C] = built
+        assert cell.half_eigenvalues.shape == (n // 2 + 1,) and not cell.half_eigenvalues.flags.writeable
+        assert np.shares_memory(cell.half_eigenvalues, C.half_eigenvalues)
 
     def test_random_rhs_is_one_draw_per_row_in_order(self):
         cfg = BenchmarkConfig(1, 2, 3, (48, 32), (2.0,), rhs="random", seed=5)
