@@ -41,7 +41,7 @@ class DimensionMismatch(ValueError):
     """Raised when two functions do not live on the same sample grid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteFunction:
     """A finite sample sequence with a uniform quadrature weight.
 

@@ -52,7 +52,7 @@ class InconsistentDecomposition(ValueError):
     """Components plus trend do not reconstruct the source signal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """Real samples on the uniform grid t_j = j/(2B), j = 0..n-1.
 
@@ -106,7 +106,7 @@ def l1_fourier_energy(s: Signal) -> float:
     return _l1_energy(np.abs(np.fft.rfft(s.samples)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """An ordered additive split of a source signal into components + trend."""
 

@@ -117,14 +117,14 @@ def _symmetric_diagonals(diagonals: Mapping[int, float]) -> dict[int, float]:
 class ToeplitzSymbol:
     """Generating function of a family of Toeplitz matrices.
 
-    Stored as its Fourier coefficients {offset k: value}, finite, real and
-    symmetric (t_k = t_(-k)); ValueError otherwise. The quartic model family
-    alpha + beta(2-2cos theta) + gamma(2-2cos theta)^2 is banded with
-    t_0 = alpha + 2 beta + 6 gamma, t_(+-1) = -beta - 4 gamma, t_(+-2) = gamma.
+    It is its Fourier coefficients {offset k: value} and nothing else,
+    finite, real and symmetric (t_k = t_(-k)); ValueError otherwise. The
+    quartic model family alpha + beta(2-2cos theta) + gamma(2-2cos theta)^2
+    (from_model) is banded with t_0 = alpha + 2 beta + 6 gamma,
+    t_(+-1) = -beta - 4 gamma, t_(+-2) = gamma.
     """
 
     coefficients: Mapping[int, float]
-    model_params: Optional[tuple[float, float, float]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", _symmetric_diagonals(self.coefficients))
@@ -133,8 +133,7 @@ class ToeplitzSymbol:
     def from_model(cls, alpha: float, beta: float, gamma: float) -> "ToeplitzSymbol":
         phi = alpha + 2.0 * beta + 6.0 * gamma
         psi = -beta - 4.0 * gamma
-        coeffs = {0: phi, 1: psi, -1: psi, 2: gamma, -2: gamma}
-        return cls(coeffs, (float(alpha), float(beta), float(gamma)))
+        return cls({0: phi, 1: psi, -1: psi, 2: gamma, -2: gamma})
 
 
 @dataclass(frozen=True)
@@ -147,18 +146,18 @@ class ToeplitzOperator:
     real numbers with t_k = t_(-k) (ValueError naming the offset
     otherwise); offsets with |k| >= n are dropped.
     Construction stores them once more as a read-only float64 kernel
-    h[w + k] = t_k over offsets -w..w, w the widest stored offset;
-    toeplitz_matvec convolves with it. A matvec costs O(n(2w+1)) whatever
-    the band holds, so one far offset (up to n - 1) makes every product
-    O(n^2); the operators this package builds have w <= 2. The first
-    pcg_solve in its eigenbasis keeps that on it (_Eigenbasis: 2r+1 rows
-    of length n//2+1, r the widest nonzero offset) for the solves that
-    follow; one with r > MAX_BAND_HALFWIDTH builds none (_coordinates).
+    h[w + k] = t_k over offsets -w..w, w the widest stored offset (a
+    stored 0 counts); toeplitz_matvec convolves with it. A matvec costs
+    O(n(2w+1)) whatever the band holds, so one far offset (up to n - 1)
+    makes every product O(n^2); the operators this package builds have
+    w <= 2. The first pcg_solve in its eigenbasis keeps that on it
+    (_Eigenbasis: 2r+1 rows of length n//2+1, r the widest nonzero
+    offset) for the solves that follow; one with r > MAX_BAND_HALFWIDTH
+    builds none (_coordinates).
     """
 
     n: int
     diagonals: Mapping[int, float]
-    symbol: Optional[ToeplitzSymbol] = None
     _kernel: np.ndarray = field(init=False, repr=False, compare=False)
     _basis: Optional["_Eigenbasis"] = field(default=None, init=False, repr=False, compare=False)
 
@@ -190,29 +189,25 @@ def build_toeplitz(symbol: ToeplitzSymbol, n: int) -> ToeplitzOperator:
     n goes through ToeplitzOperator's check: an integral number >= 1, stored
     as int (ValueError naming n otherwise).
     """
-    return ToeplitzOperator(n, dict(symbol.coefficients), symbol)
+    return ToeplitzOperator(n, symbol.coefficients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CirculantMatrix:
     """Real symmetric circulant matrix stored by first column and spectrum.
 
     The first column fixes the matrix, and its length is n. It must be
     1-d of length n >= 1, real, finite and symmetric, c_k == c_(n-k)
     exactly (ValueError otherwise), so the spectrum is real and even. Its
-    n//2+1 distinct values, computed at construction and read-only, are
-    half_eigenvalues, the only spectrum kept: a banded column (see
-    _band_halfwidth) takes the cosine sum lambda_j = c_0 + 2 sum_(k<=w)
-    c_k cos(2 pi jk / n) in O(n w), any other rfft(c).real. eigenvalues
-    mirrors them into all n, lambda_(n-j) == lambda_j bit for bit. p
-    records the exponent used to build the matrix when it came from a
-    minimization; it follows PExponent's rule, a finite number >= 1 that
-    is not a bool (ValueError otherwise), and is stored as a float.
+    n//2+1 distinct values lambda_0..lambda_(n//2), computed at
+    construction and read-only, are half_eigenvalues, the only spectrum it
+    holds (lambda_(n-j) = lambda_j): a banded column (see _band_halfwidth)
+    takes the cosine sum lambda_j = c_0 + 2 sum_(k<=w) c_k
+    cos(2 pi jk / n) in O(n w), any other rfft(c).real. circulant_spectrum
+    gives all n.
     """
 
     first_column: np.ndarray
-    p: Optional[float] = None
-    symbol: Optional[ToeplitzSymbol] = None
     half_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -228,8 +223,6 @@ class CirculantMatrix:
             raise ValueError("first_column must be symmetric: c_k == c_(n-k) for every k")
         col.setflags(write=False)
         object.__setattr__(self, "first_column", col)
-        if self.p is not None:
-            object.__setattr__(self, "p", PExponent(self.p).p)
         half = _half_spectrum(col)
         half.setflags(write=False)
         object.__setattr__(self, "half_eigenvalues", half)
@@ -239,13 +232,12 @@ class CirculantMatrix:
         return self.first_column.size
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        """All n eigenvalues, a new array on each access."""
-        return _mirror(self.half_eigenvalues, self.n)
-
-    @property
     def num_negative_eigenvalues(self) -> int:
-        return int(np.sum(self.eigenvalues < 0.0))
+        """Negative eigenvalues counted with multiplicity: lambda_j for
+        0 < j < n/2 is also lambda_(n-j), and j = 0 and j = n/2 occur once."""
+        neg = self.half_eigenvalues < 0.0
+        once = int(neg[0]) + int(self.n % 2 == 0 and neg[-1])
+        return 2 * int(np.count_nonzero(neg)) - once
 
     def is_spd(self) -> bool:
         """Every eigenvalue strictly positive."""
@@ -306,32 +298,30 @@ def lp_circulant_minimizer(T: ToeplitzOperator, p: float) -> CirculantMatrix:
         vals = (val_major + val_minor * w) / (1.0 + w)
     col = np.zeros(n)  # every class T does not reach is 0
     col[k] = vals
-    return CirculantMatrix(col, p, T.symbol)
+    return CirculantMatrix(col)
 
 
 def circulant_spectrum(C: CirculantMatrix) -> np.ndarray:
-    """Eigenvalues of a circulant: the DFT of its first column.
-
-    C.eigenvalues, a new writable array: C.half_eigenvalues mirrored into
-    j > n/2.
-    """
-    return C.eigenvalues
+    """All n eigenvalues of a circulant, the DFT of its first column: the
+    package's one full-n view of a spectrum. C.half_eigenvalues mirrored
+    into lambda_(n-j) = lambda_j, a new writable array."""
+    return _mirror(C.half_eigenvalues, C.n)
 
 
-def model_spectrum_closed_form(C: CirculantMatrix) -> np.ndarray:
-    """Closed-form eigenvalues of a model-family minimizer.
+def model_spectrum_closed_form(C: CirculantMatrix, alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Closed-form distinct eigenvalues of the minimizer C of the model
+    (alpha, beta, gamma), for j = 0..n//2 as in C.half_eigenvalues.
 
     lambda_j = f(theta_j) + 2(c_1 - psi)cos(theta_j) + 2(c_2 - gamma)cos(2 theta_j)
     on theta_j = 2 pi j / n: the symbol's values plus the perturbation from
-    the two wrapped diagonals. Requires the circulant to carry a model symbol.
+    the two wrapped diagonals. Each parameter must be a finite real number
+    (ValueError naming it otherwise), and n >= 5.
     """
-    if C.symbol is None or C.symbol.model_params is None:
-        raise ValueError("closed-form spectrum needs a model-family symbol")
+    alpha, beta, gamma = _number("alpha", alpha), _number("beta", beta), _number("gamma", gamma)
     if C.n < 5:
         raise ValueError("closed form assumes the five model diagonals are distinct classes")
-    alpha, beta, gamma = C.symbol.model_params
     psi = -beta - 4.0 * gamma
-    theta = 2.0 * np.pi * np.arange(C.n) / C.n
+    theta = 2.0 * np.pi * np.arange(C.n // 2 + 1) / C.n
     c1, c2 = float(C.first_column[1]), float(C.first_column[2])
     f_vals = alpha + beta * (2.0 - 2.0 * np.cos(theta)) + gamma * (2.0 - 2.0 * np.cos(theta)) ** 2
     return f_vals + 2.0 * (c1 - psi) * np.cos(theta) + 2.0 * (c2 - gamma) * np.cos(2.0 * theta)
@@ -353,7 +343,7 @@ def strang_type_correction(C: CirculantMatrix) -> CirculantMatrix:
     if np.all(good):
         return C
     col = np.fft.irfft(np.where(lam != 0.0, np.abs(lam), np.min(lam[good])), n)[: n // 2 + 1]
-    return CirculantMatrix(_mirror(col, n), C.p, C.symbol)
+    return CirculantMatrix(_mirror(col, n))
 
 
 def toeplitz_matvec(T: ToeplitzOperator, x: np.ndarray) -> np.ndarray:
@@ -709,7 +699,7 @@ STATUS_INDEFINITE = "preconditioner_indefinite"
 STATUS_OPERATOR_INDEFINITE = "operator_indefinite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of one conjugate gradient run.
 
@@ -719,8 +709,9 @@ class SolveReport:
     true_relative_residual is ||b - T x||_2 / ||b||_2 of the returned
     solution, from the matvec that decided the status; it can exceed the
     last recursive residual, and it is None when there is no solution.
-    status is "converged" exactly when it meets tol. The exponent behind
-    the preconditioner is M.p, on the circulant the solve was given.
+    status is "converged" exactly when it meets tol. The report does not
+    name the exponent behind the preconditioner: that is the caller's p,
+    and BenchmarkCell.p in a grid.
     apply_path names how the preconditioned solve ran: "eigenbasis"
     (see _Eigenbasis), or in real space "banded_cholesky" or "spectral"
     (see _real_inverse); _coordinates picks it. None when unpreconditioned
@@ -894,7 +885,7 @@ def select_p_tilde(T: ToeplitzOperator, p_grid: Sequence[float]) -> float:
     raise NoAdmissibleExponent(f"no exponent in {grid} yields an admissible preconditioner")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumDiagnostic:
     """Preconditioned spectrum plus how much of it clusters at 1."""
 
@@ -989,7 +980,7 @@ class BenchmarkConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkCell:
     """One (n, p) solver run; p and half_eigenvalues, the preconditioner's
     own read-only CirculantMatrix.half_eigenvalues, are None for the
@@ -1001,7 +992,7 @@ class BenchmarkCell:
     half_eigenvalues: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkResult:
     config: BenchmarkConfig
     cells: tuple[BenchmarkCell, ...]

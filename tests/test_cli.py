@@ -312,14 +312,15 @@ class TestPrecondBench:
 
     def test_spectra_at_an_odd_n_across_block_seams(self, tmp_path, capsys):
         # Each spectrum is written from its n//2+1 distinct eigenvalues; the
-        # oracle formats all n of C.eigenvalues as one table.
+        # oracle unfolds them into all n and formats those as one table.
         n = 2 * CHUNK + 1
         cfg = self.write_config(tmp_path, {"alpha": 0, "beta": 2, "gamma": 8, "n_list": [n], "p_list": [1.0, 2.0], "correction": "off"})
         out_dir = tmp_path / "bench"
         assert run_cli(capsys, ["precond-bench", "--config", cfg, "--out-dir", str(out_dir)])[0] == 0
         T = build_toeplitz(ToeplitzSymbol.from_model(0, 2, 8), n)
         for p in (1.0, 2.0):
-            lam = lp_circulant_minimizer(T, p).eigenvalues
+            half = lp_circulant_minimizer(T, p).half_eigenvalues
+            lam = np.concatenate((half, half[1 : (n + 1) // 2][::-1]))  # lambda_(n-j) = lambda_j
             want = written(table_writer("j,lambda\n", "%d,%.17g\n", range(n), lam))
             assert (out_dir / "spectra" / f"spectrum_n{n}_p{p:g}.csv").read_text().splitlines(keepends=True) == want.splitlines(keepends=True)
 

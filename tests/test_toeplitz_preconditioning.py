@@ -12,7 +12,6 @@ import scipy.sparse
 
 import lportho.toeplitz_preconditioning as tp
 from lportho._serialize import dumps_json
-from lportho.banach_geometry import PExponent
 from lportho.toeplitz_preconditioning import (
     DEFAULT_PCG_TOL,
     DENSE_DIAGNOSTIC_LIMIT,
@@ -125,6 +124,12 @@ def stencil_relative_residual(T: ToeplitzOperator, x: np.ndarray, b: np.ndarray)
 MODEL_PARAMS = [(1.0, 2.0, 3.0), (0.0, 2.0, 8.0), (0.0, 1.0, 0.0)]
 
 
+def unfold(half: np.ndarray, n: int) -> np.ndarray:
+    """All n eigenvalues of a symmetric circulant from lambda_0..lambda_(n//2),
+    by lambda_(n-j) = lambda_j."""
+    return np.concatenate((half, half[1 : (n + 1) // 2][::-1]))
+
+
 class TestToeplitzSymbol:
     def test_model_coefficients(self):
         sym = ToeplitzSymbol.from_model(1, 2, 3)
@@ -186,24 +191,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match=match):
             CirculantMatrix(col)
 
-    @pytest.mark.parametrize("p", ["x", True, math.nan, math.inf, 0.5], ids=["str", "bool", "nan", "inf", "below_one"])
-    def test_p_follows_the_exponent_rule(self, p):
-        with pytest.raises(ValueError, match="exponent p") as got:
-            CirculantMatrix(np.array([2.0, 1.0, 1.0]), p)
-        with pytest.raises(ValueError) as want:
-            PExponent(p)
-        assert str(got.value) == str(want.value)
-
-    def test_p_is_stored_as_the_exponent_float(self):
-        C = CirculantMatrix(np.array([2.0, 1.0, 1.0]), np.float64(1.5))
-        assert type(C.p) is float and C.p == 1.5
-        assert CirculantMatrix(np.array([2.0, 1.0, 1.0]), 2).p == 2.0
-        assert CirculantMatrix(np.array([2.0, 1.0, 1.0])).p is None
-
     def test_one_and_two_dimensional_cases(self):
         for col in ([3.0], [3.0, -1.0]):
-            C = CirculantMatrix(np.array(col))
-            np.testing.assert_allclose(np.sort(C.eigenvalues), np.linalg.eigvalsh(scipy.linalg.circulant(col)))
+            C = CirculantMatrix(np.array(col))  # n <= 2: its n//2+1 distinct eigenvalues are all n
+            np.testing.assert_allclose(np.sort(C.half_eigenvalues), np.linalg.eigvalsh(scipy.linalg.circulant(col)))
         T = ToeplitzOperator(2, {0: 3.0, 1: -1.0, -1: -1.0, 5: 7.0, -5: 7.0})
         np.testing.assert_array_equal(T.to_dense(), [[3.0, -1.0], [-1.0, 3.0]])
         np.testing.assert_array_equal(ToeplitzOperator(1, {0: 3.0, 1: -1.0, -1: -1.0}).to_dense(), [[3.0]])
@@ -419,12 +410,12 @@ class TestLpCirculantMinimizer:
 
 class TestCirculantMatrix:
     def test_small_spectrum_by_hand(self):
-        C = CirculantMatrix(np.array([2.0, 1.0, 0.0, 1.0]))
-        np.testing.assert_allclose(sorted(C.eigenvalues), [0.0, 2.0, 2.0, 4.0], atol=1e-14)
+        C = CirculantMatrix(np.array([2.0, 1.0, 0.0, 1.0]))  # lambda_j = 2 + 2 cos(pi j / 2)
+        np.testing.assert_allclose(C.half_eigenvalues, [4.0, 2.0, 0.0], atol=1e-14)
 
     def test_identity(self):
         C = CirculantMatrix(np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(C.eigenvalues, np.ones(3), atol=1e-15)
+        np.testing.assert_allclose(C.half_eigenvalues, np.ones(2), atol=1e-15)
         assert C.is_spd()
 
     def test_eigenvalues_match_dense(self):
@@ -433,7 +424,8 @@ class TestCirculantMatrix:
         col = (col + np.roll(col[::-1], 1)) / 2  # symmetrize
         C = CirculantMatrix(col)
         dense_evals = np.linalg.eigvalsh(C.to_dense())
-        np.testing.assert_allclose(sorted(C.eigenvalues), dense_evals, atol=1e-10)
+        np.testing.assert_allclose(np.sort(unfold(C.half_eigenvalues, 8)), dense_evals, atol=1e-10)
+        np.testing.assert_allclose(C.half_eigenvalues, np.fft.rfft(col).real, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100])
     def test_dimension_is_the_column_length(self, n):
@@ -443,9 +435,9 @@ class TestCirculantMatrix:
 
     @pytest.mark.parametrize("first", [4, 4.0, np.int64(4), [], [[2.0, 1.0], [1.0, 2.0]]])
     def test_rejects_a_column_that_is_not_1d_and_nonempty(self, first):
-        # the column fixes n: a dimension passed ahead of it is a 0-d column
+        # the column fixes n: a dimension passed for it is a 0-d column
         with pytest.raises(ValueError, match=r"^first_column must be 1-d of length n >= 1$"):
-            CirculantMatrix(first, np.array([2.0, 1.0, 0.0, 1.0]))
+            CirculantMatrix(first)
 
     @pytest.mark.parametrize("n", [4, 11])
     def test_replace_computes_the_new_columns_spectrum(self, n):
@@ -454,7 +446,7 @@ class TestCirculantMatrix:
         assert C.is_spd()
         D = dataclasses.replace(C, first_column=-C.first_column)
         r = np.random.default_rng(n).standard_normal(n)
-        np.testing.assert_allclose(np.sort(D.eigenvalues), np.linalg.eigvalsh(D.to_dense()), atol=1e-13)
+        np.testing.assert_allclose(np.sort(unfold(D.half_eigenvalues, n)), np.linalg.eigvalsh(D.to_dense()), atol=1e-13)
         assert not D.is_spd()
         np.testing.assert_allclose(circulant_solve(D, r), np.linalg.solve(D.to_dense(), r), rtol=1e-12, atol=1e-13)
 
@@ -463,10 +455,34 @@ class TestCirculantMatrix:
         with pytest.raises(TypeError):
             CirculantMatrix(np.array([2.0, 1.0, 1.0]), **{name: np.ones(3)})
 
-    def test_negative_count(self):
-        C = CirculantMatrix(np.array([0.0, 1.0]))  # eigenvalues 1, -1
-        assert C.num_negative_eigenvalues == 1
+    @pytest.mark.parametrize(
+        "col, count",
+        [
+            ([0.0, 1.0], 1),  # lambda = 1, -1
+            ([-1.0], 1),
+            ([1.0, -1.0, 0.0, -1.0], 1),  # lambda = -1, 1, 3, 1: only j = 0
+            ([1.0, -1.0, 0.0, 0.0, -1.0], 1),  # odd n, only j = 0
+            ([1.0, 1.0, 0.0, 1.0], 1),  # lambda = 3, 1, -1, 1: only j = n/2
+            ([1.5, 1.0, 0.0, 0.0, 0.0, 1.0], 1),  # lambda_j = 1.5 + 2 cos(pi j / 3): only j = n/2
+            ([0.0, 0.0, 1.0, 0.0], 2),  # lambda = 1, -1, 1, -1: j = 1 and n - 1
+            ([-1.0, 0.0, 0.0, 0.0], 4),
+        ],
+    )
+    def test_negative_count(self, col, count):
+        C = CirculantMatrix(np.array(col))
+        assert C.num_negative_eigenvalues == count
+        assert np.count_nonzero(np.linalg.eigvalsh(scipy.linalg.circulant(col)) < -1e-12) == count
         assert not C.is_spd()
+
+    @pytest.mark.parametrize("n", list(range(1, 14)) + [99, 100, 200])
+    def test_negative_count_is_the_dense_count(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            col = rng.standard_normal(n)
+            col = 0.5 * (col + np.roll(col[::-1], 1))
+            dense = np.linalg.eigvalsh(scipy.linalg.circulant(col))
+            assert np.min(np.abs(dense)) > 1e-9 * np.max(np.abs(dense))  # no sign is in doubt
+            assert CirculantMatrix(col).num_negative_eigenvalues == np.count_nonzero(dense < 0.0)
 
     @pytest.mark.parametrize(
         "col", [[np.inf, 0.0, 0.0], [1.0, np.inf, np.inf], [1.0, np.nan, np.nan]], ids=["inf_diag", "inf_off", "nan_off"]
@@ -484,21 +500,25 @@ class TestModelSpectrumClosedForm:
     def test_agrees_with_dft(self, params, p, n):
         T = build_toeplitz(ToeplitzSymbol.from_model(*params), n)
         C = lp_circulant_minimizer(T, p)
-        by_dft = circulant_spectrum(C)
+        by_dft = np.fft.rfft(C.first_column)
         scale = max(1.0, float(np.max(np.abs(by_dft))))
         assert float(np.max(np.abs(np.imag(by_dft)))) <= 1e-10 * scale
-        closed = model_spectrum_closed_form(C)
+        closed = model_spectrum_closed_form(C, *params)
+        assert closed.shape == (n // 2 + 1,)
         np.testing.assert_allclose(np.real(by_dft), closed, atol=1e-10 * scale)
 
-    def test_needs_model_symbol(self):
-        C = CirculantMatrix(np.zeros(6))
-        with pytest.raises(ValueError):
-            model_spectrum_closed_form(C)
+    @pytest.mark.parametrize("key", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("value", ["1", None, True, math.nan, math.inf, 1j])
+    def test_rejects_a_parameter_that_is_not_a_number(self, key, value):
+        C = lp_circulant_minimizer(build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 8), 2)
+        params = {"alpha": 1.0, "beta": 2.0, "gamma": 3.0, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be a finite float, got "):
+            model_spectrum_closed_form(C, **params)
 
     def test_needs_five_classes(self):
         T = build_toeplitz(ToeplitzSymbol.from_model(1, 2, 3), 4)
         with pytest.raises(ValueError):
-            model_spectrum_closed_form(lp_circulant_minimizer(T, 2))
+            model_spectrum_closed_form(lp_circulant_minimizer(T, 2), 1, 2, 3)
 
 
 class TestStrangTypeCorrection:
@@ -506,12 +526,10 @@ class TestStrangTypeCorrection:
         # build the circulant from the spectrum {2, -0.5, -0.5}
         lam = np.array([2.0, -0.5, -0.5])
         C = CirculantMatrix(np.fft.fft(lam).real / 3.0)
-        np.testing.assert_allclose(sorted(C.eigenvalues.real), [-0.5, -0.5, 2.0], atol=1e-14)
+        np.testing.assert_allclose(C.half_eigenvalues, [2.0, -0.5], atol=1e-14)
         fixed = strang_type_correction(C)
         assert fixed.is_spd()
-        np.testing.assert_allclose(
-            sorted(np.real(fixed.eigenvalues)), [0.5, 0.5, 2.0], atol=1e-12
-        )
+        np.testing.assert_allclose(fixed.half_eigenvalues, [2.0, 0.5], atol=1e-12)
 
     def test_spd_input_unchanged(self):
         C = CirculantMatrix(np.array([3.0, 1.0, 1.0]))
@@ -706,7 +724,8 @@ SMOOTH_N = (100, 128, 700, 1000, 4096)  # no prime factor above 7
 
 
 def fft_spectrum(C):
-    return np.fft.fft(C.first_column).real
+    """The n//2+1 distinct eigenvalues of C by numpy's rfft."""
+    return np.fft.rfft(C.first_column).real
 
 
 def count_products(monkeypatch) -> list:
@@ -752,13 +771,13 @@ class TestBandedCirculant:
     @pytest.mark.parametrize("p", [1.0, 1.6, 10.0])
     def test_spectrum_matches_cosine_sum_and_fft(self, n, name, p):
         C = lp_circulant_minimizer(build_toeplitz(BANDED_SYMBOLS[name], n), p)
-        lam = C.eigenvalues
-        assert lam.dtype == np.float64 and lam.shape == (n,)
+        lam = C.half_eigenvalues
+        assert lam.dtype == np.float64 and lam.shape == (n // 2 + 1,)
         col = C.first_column
         w = max(k for k in range(n // 2 + 1) if col[k] != 0.0)
-        exact = np.full(n, np.longdouble(col[0]))
+        exact = np.full(n // 2 + 1, np.longdouble(col[0]))
         two_pi = 8 * np.arctan(np.longdouble(1))
-        j = np.arange(n)
+        j = np.arange(n // 2 + 1)
         for k in range(1, w + 1):
             exact += 2 * np.longdouble(col[k]) * np.cos(two_pi * (j * k % n) / n)
         scale = float(np.max(np.abs(exact)))
@@ -849,11 +868,11 @@ class TestBandedCirculant:
             "corrected": strang_type_correction(CirculantMatrix(dense)),
         }
         for name, C in columns.items():
-            lam = C.eigenvalues
-            assert lam.shape == (n,) and np.array_equal(lam[1:], lam[:0:-1]), name
-            assert np.array_equal(C.half_eigenvalues, lam[: n // 2 + 1]) and not C.half_eigenvalues.flags.writeable
-            assert np.array_equal(circulant_spectrum(C), lam), name
-            np.testing.assert_allclose(lam, np.fft.fft(C.first_column).real, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(lam))))
+            half = C.half_eigenvalues
+            assert half.shape == (n // 2 + 1,) and not half.flags.writeable, name
+            np.testing.assert_allclose(half, fft_spectrum(C), rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(half))))
+            lam = circulant_spectrum(C)
+            assert lam.flags.writeable and np.array_equal(lam, unfold(half, n)), name
         assert columns["corrected"].is_spd()
 
     @pytest.mark.parametrize("correction", ["off", "on"])
