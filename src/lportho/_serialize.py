@@ -45,16 +45,23 @@ The stdlib json encoder insists on repr() for floats, and with indent it
 runs its pure-Python encoder, hence json_writer. perfbench/tracer.py wraps
 format_float and dumps_json (json_writer into a list) by name, and the
 tests and CI size their inputs by CHUNK, so these names stay. Numeric text
-input, one number per line, is read back by read_numbers.
+input, one number per line, is read back by read_numbers. read_json reads
+a JSON file a block (READ_BLOCK) at a time, walking objects and arrays of
+containers itself and giving each other value to the stdlib's C scanner,
+so each number array is parsed, and made a float64 array, on its own:
+memory grows with the largest array, not with the file.
 """
 
 from __future__ import annotations
 
+import codecs
 import functools
+import itertools
 import json
 import math
 import re
-from typing import Any, Callable, Union
+import warnings
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -70,10 +77,14 @@ __all__ = [
     "json_writer",
     "dumps_json",
     "read_numbers",
+    "READ_BLOCK",
+    "number_array",
+    "read_json",
 ]
 
 CHUNK = 2048  # rows per write call, and values per kernel pass: its arrays (~0.6 MB) stay in a 2 MB L2 cache
 _INDENT = "  "  # per JSON nesting level
+READ_BLOCK = 1 << 20  # bytes per read of read_json: its buffer holds a block and the value that straddles it
 
 Writer = Callable[[Callable[[str], Any]], None]
 Column = Union[np.ndarray, range]
@@ -315,19 +326,166 @@ def read_numbers(path: str) -> tuple[np.ndarray, list[str]]:
 
     Blank and whitespace-only lines are skipped. A line whose first
     non-blank character is '#' is a comment, returned stripped and without
-    the '#'. Every other line must hold one float; ValueError otherwise,
-    and when the file holds no number.
+    the '#'. Every other line must hold one number as np.loadtxt reads it
+    (not "1_000" or non-ASCII digits, which float() takes); ValueError
+    otherwise, and when the file holds no number. np.loadtxt reads the file
+    after its head of comments; a comment further on splits the text first.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = list(filter(None, map(str.strip, text.split("\n"))))
-    comments = []
-    if "#" in text:
-        comments = [line[1:].strip() for line in lines if line[0] == "#"]
-        lines = [line for line in lines if line[0] != "#"]
-    if not lines:
+        lines = [line.strip() for line in itertools.takewhile(lambda line: line.lstrip()[:1] in ("", "#"), fh)]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # raised below
+        try:
+            values = np.loadtxt(path, skiprows=len(lines), comments=None, ndmin=2, encoding="utf-8")
+        except ValueError:  # a comment after the head, or a line that is not one number
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = list(filter(None, map(str.strip, fh.read().split("\n"))))
+            values = np.loadtxt([line for line in lines if line[0] != "#"], comments=None, ndmin=2)
+    if not values.size:
         raise ValueError(f"no samples found in {path}")
-    return np.fromiter(map(float, lines), float, len(lines)), comments
+    if values.shape[1] != 1:
+        raise ValueError(f"{path}: a line holds {values.shape[1]} numbers, not one")
+    return values.ravel(), [line[1:].strip() for line in lines if line[:1] == "#"]
+
+
+def number_array(x: Any) -> Optional[np.ndarray]:
+    """x as a 1-d float64 array when np.asarray makes it a 1-d array of
+    numbers (bools count beside numbers, not alone), else None."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # lists nested to uneven depths
+        return None
+    return arr.astype(float, copy=False) if arr.ndim == 1 and arr.dtype.kind in "iuf" else None
+
+
+_SCAN = json.JSONDecoder().scan_once  # the stdlib's C scanner of the JSON value at an index
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+class _Source:
+    """A JSON file read READ_BLOCK bytes at a time, each block passed to copy.
+    buf holds the text from document offset base on; lines newlines come
+    before it, the last just before offset line_start."""
+
+    def __init__(self, fh: Any, copy: Callable[[bytes], Any]) -> None:
+        self.fh, self.copy, self.decoder = fh, copy, codecs.getincrementaldecoder("utf-8")()
+        self.buf, self.pos, self.base, self.lines, self.line_start, self.eof = "", 0, 0, 0, 0, False
+
+    def more(self) -> None:
+        """Read a block into buf, dropping buf[:pos], the text before the value being parsed."""
+        raw = self.fh.read(READ_BLOCK)
+        self.copy(raw)
+        self.eof = len(raw) < READ_BLOCK
+        try:
+            text = self.decoder.decode(raw, self.eof)
+        except UnicodeDecodeError as exc:  # exc.object: the decoder's pending bytes, then raw
+            at = self.fh.tell() - len(exc.object) + exc.start
+            raise ValueError(f"invalid UTF-8 at byte {at}: {exc.reason}") from None
+        self.lines += self.buf.count("\n", 0, self.pos)
+        if (last := self.buf.rfind("\n", 0, self.pos)) >= 0:
+            self.line_start = self.base + last + 1
+        self.base += self.pos
+        self.buf, self.pos = self.buf[self.pos:] + text, 0
+
+    def skip(self, i: int) -> tuple[int, str]:
+        """The buf index of the first non-whitespace character at or after
+        index i >= pos, reading on as needed, and that character ('' at the end)."""
+        while (i := _SPACE.match(self.buf, i).end()) == len(self.buf) and not self.eof:
+            i -= self.pos
+            self.more()
+        return i, self.buf[i:i + 1]
+
+    def scan(self, close: str = "") -> Any:
+        """The value at pos by the C scanner, pos moved past it. Until the end
+        of the file, a flat array waits for a close in buf, and a value that
+        ends within two characters of buf's end ("1e+" scans as 1) reads on,
+        as does a failure within 9 (a "-Infinity") or an unterminated string:
+        buf's end may have cut them. Any other failure is json.loads's error."""
+        while True:
+            if self.eof or self.buf.find(close, self.pos) >= 0:  # "" is found at pos
+                try:
+                    value, end = _SCAN(self.buf, self.pos)
+                    if end + 2 < len(self.buf) or self.eof:
+                        self.pos = end
+                        return value
+                except (StopIteration, json.JSONDecodeError) as exc:
+                    msg, at = ("Expecting value", exc.value) if isinstance(exc, StopIteration) else (exc.msg, exc.pos)
+                    if self.eof or at + 9 < len(self.buf) and not msg.startswith("Unterminated string"):
+                        raise self.error(msg, at) from None
+            self.more()
+
+    def error(self, msg: str, i: int) -> ValueError:
+        """json.loads's error for msg at buf index i."""
+        line, last = self.lines + self.buf.count("\n", 0, i) + 1, self.buf.rfind("\n", 0, i)
+        column = i - last if last >= 0 else self.base + i - self.line_start + 1
+        return ValueError(f"{msg}: line {line} column {column} (char {self.base + i})")
+
+
+def _arrays(x: Any) -> Any:
+    """x, a scanned JSON value, with each nonempty list that number_array takes as its array."""
+    if isinstance(x, dict):
+        return {k: _arrays(v) for k, v in x.items()}
+    if not isinstance(x, list):
+        return x
+    array = number_array(x) if x else None
+    return [_arrays(v) for v in x] if array is None else array
+
+
+def _value(src: _Source) -> Any:
+    """The JSON value at src.pos, by _arrays' rule. An object, and an array
+    whose first item is an object or array, is walked member by member with
+    the C scanner's checks and messages; any other value is scanned whole."""
+    c = src.buf[src.pos:src.pos + 1]
+    if c not in ("[", "{"):
+        return src.scan()
+    i, d = src.skip(src.pos + 1)
+    if c == "[" and d not in ("[", "{"):
+        return _arrays(src.scan("]"))
+    close, members = ("}", {}) if c == "{" else ("]", [])
+    while d != close or members:  # "{}" ends here; "[]" was scanned whole
+        src.pos = i
+        if c == "[":
+            members.append(_value(src))
+        elif d != '"':
+            raise src.error("Expecting property name enclosed in double quotes", i)
+        else:
+            key = src.scan()
+            i, d = src.skip(src.pos)
+            if d != ":":
+                raise src.error("Expecting ':' delimiter", i)
+            src.pos = src.skip(i + 1)[0]
+            members[key] = _value(src)
+        i, d = src.skip(src.pos)
+        if d == close:
+            break
+        if d != ",":
+            raise src.error("Expecting ',' delimiter", i)
+        i, d = src.skip(i + 1)
+    src.pos = i + 1
+    return members
+
+
+def read_json(path: str, copy: Optional[Callable[[bytes], Any]] = None) -> Any:
+    """The JSON document in the file at path, as json.loads gives it, except
+    that each nonempty list that number_array takes (decomposition_from_dict's
+    rule) is its float64 array.
+
+    The file is read READ_BLOCK bytes at a time, each block passed to copy,
+    so memory grows with the largest flat array, not with the file. What
+    json.loads rejects is a ValueError with its message, its line, column
+    and offset counted in the whole document; bytes that are not UTF-8 are
+    a ValueError giving their offset.
+    """
+    with open(path, "rb") as fh:
+        src = _Source(fh, copy or (lambda raw: None))
+        src.pos = src.skip(0)[0]
+        if src.buf.startswith("\ufeff"):
+            raise src.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+        doc = _value(src)
+        end, rest = src.skip(src.pos)
+        if rest:
+            raise src.error("Extra data", end)
+    return doc
 
 
 def _plan(obj: Any, out: list, level: int) -> None:

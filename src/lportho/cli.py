@@ -5,8 +5,9 @@ Subcommands:
     ortho          orthogonality test for two vectors
     energy         L1 Fourier energy of a signal
     decompose      spectral iterative-filtering split of a signal
-    audit          re-check an externally supplied decomposition JSON; with
-                   --out-dir it writes back the file it read, byte for byte
+    audit          re-check an externally supplied decomposition JSON, read
+                   a block at a time; with --out-dir it writes back the file
+                   it read, byte for byte, once the audit has succeeded
     precond-bench  iteration-count tables over an (n, p) grid
     spectrum       circulant and preconditioned spectra for one (n, p)
 
@@ -26,17 +27,19 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import logging
 import os
 import sys
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
-from ._serialize import Writer, dumps_json, format_float, json_writer, mirrored_table_writer, read_numbers, table_writer
+from ._serialize import Writer, dumps_json, format_float, json_writer, mirrored_table_writer, read_json
+from ._serialize import read_numbers, table_writer
 from .banach_geometry import DEFAULT_ORTHO_TOL, DiscreteFunction, GeometryResult, is_orthogonal, pair_geometry
 from .signal_decomposition import (
     EnergyReport,
@@ -75,8 +78,7 @@ def _write(out_dir: str, name: str, content: Union[str, Writer]) -> str:
     directory, and return name.
 
     A Writer is built, and its values checked, before this opens the file.
-    newline="" writes the text as it is, so audit's write-back of a file it
-    read the same way keeps every byte.
+    newline="" writes the text as it is.
     """
     path = os.path.join(out_dir, name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -189,17 +191,30 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    with open(args.decomposition, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    report = check_energy_conservation(decomposition_from_dict(json.loads(text)), args.tol)
+    def audited(copy: Optional[Callable[[bytes], object]] = None) -> EnergyReport:
+        return check_energy_conservation(decomposition_from_dict(read_json(args.decomposition, copy)), args.tol)
+
+    target = args.out_dir and os.path.join(args.out_dir, "decomposition.json")
+    if not target or os.path.exists(target) and os.path.samefile(target, args.decomposition):
+        report = audited()
+    else:
+        # read_json copies the input's blocks as it reads them to a temporary
+        # file, in the out dir or, until it is made, the nearest directory
+        # above it, which replaces decomposition.json once the audit has
+        # succeeded. A failed audit removes it and makes no directory.
+        near = os.path.abspath(args.out_dir)
+        while not os.path.isdir(near):
+            near = os.path.dirname(near)
+        partial = os.path.join(near, f".decomposition.json.{os.getpid()}.partial")
+        try:
+            with open(partial, "wb") as fh:
+                report = audited(fh.write)
+            os.makedirs(args.out_dir, exist_ok=True)
+            os.replace(partial, target)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(partial)
     if args.out_dir:
-        # The text read goes back as it is, not re-serialized, and is dropped
-        # before the reports are formatted: its 17-digit samples are the
-        # largest thing audit holds.
-        target = os.path.join(args.out_dir, "decomposition.json")
-        if not (os.path.exists(target) and os.path.samefile(target, args.decomposition)):
-            _write(args.out_dir, "decomposition.json", text)
-        del text
         outputs = ["decomposition.json"] + _emit_report_files(args.out_dir, report)
         _write_manifest(args, ["decomposition"], outputs)
     _print_json(energy_report_to_dict(report))

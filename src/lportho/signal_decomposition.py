@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._serialize import format_float, read_numbers, table_writer
+from ._serialize import format_float, number_array, read_numbers, table_writer
 from .banach_geometry import DiscreteFunction, _number, _positive, angle
 
 __all__ = [
@@ -459,9 +459,11 @@ def decomposition_from_dict(doc: dict) -> Decomposition:
     audit can verify; meta is carried through untouched. A field of the
     wrong JSON type is a ValueError naming it: components must be a list
     of number lists, trend a number list and meta, when present, an object.
+    A number list may also be the float64 array read_json makes of one.
     """
     if not isinstance(doc, dict):
-        raise ValueError(f"decomposition JSON must be a JSON object, got {type(doc).__name__}")
+        kind = "list" if isinstance(doc, np.ndarray) else type(doc).__name__  # read_json's number list
+        raise ValueError(f"decomposition JSON must be a JSON object, got {kind}")
     if "components" not in doc or "trend" not in doc:
         raise ValueError("decomposition JSON needs 'components' and 'trend'")
     components, meta = doc["components"], doc.get("meta", {})
@@ -469,8 +471,8 @@ def decomposition_from_dict(doc: dict) -> Decomposition:
         raise ValueError(f"decomposition JSON 'components' must be a list of number lists, got {components!r:.40}")
     if not isinstance(meta, dict):
         raise ValueError(f"decomposition JSON 'meta' must be an object, got {meta!r:.40}")
-    # Each part becomes a Signal as soon as it is read, so one intermediate
-    # array at a time is held next to the parsed lists.
+    # Each list becomes a Signal as soon as it is converted, so one
+    # intermediate array at a time is held next to the lists.
     return Decomposition.from_parts(
         [Signal(_number_list("components", c)) for c in components], Signal(_number_list("trend", doc["trend"])), meta
     )
@@ -478,14 +480,11 @@ def decomposition_from_dict(doc: dict) -> Decomposition:
 
 def _number_list(key: str, x: object) -> np.ndarray:
     """x as a 1-d float array; ValueError naming key unless it is a list of numbers."""
-    try:
-        arr = np.asarray(x) if isinstance(x, (list, tuple, np.ndarray)) else None
-    except ValueError:  # lists nested to uneven depths
-        arr = None
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+    arr = number_array(x)
+    if arr is None:
         what = "a list of number lists" if key == "components" else "a number list"
         raise ValueError(f"decomposition JSON '{key}' must be {what}, got {x!r:.40}")
-    return arr.astype(float, copy=False)
+    return arr
 
 
 def energy_report_to_dict(r: EnergyReport) -> dict:

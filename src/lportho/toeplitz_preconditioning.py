@@ -113,7 +113,7 @@ def _symmetric_diagonals(diagonals: Mapping[int, float]) -> dict[int, float]:
     return diags
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToeplitzSymbol:
     """Generating function of a family of Toeplitz matrices.
 
@@ -136,7 +136,7 @@ class ToeplitzSymbol:
         return cls({0: phi, 1: psi, -1: psi, 2: gamma, -2: gamma})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToeplitzOperator:
     """Real symmetric Toeplitz matrix given by its diagonal coefficients.
 

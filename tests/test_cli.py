@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lportho._serialize as serialize
 from lportho._serialize import CHUNK, format_float, table_writer
 from lportho.cli import _emit_report_files, _spectrum_comparison, _spectrum_csv, main
 from lportho.signal_decomposition import (
@@ -510,6 +511,60 @@ def test_decomposition_field_of_wrong_json_type_is_an_error(tmp_path, capsys, do
     assert not out_dir.exists()
 
 
+# Each fails after read_json has passed its first blocks to the copy.
+FAILING_DECOMPOSITIONS = {
+    "malformed": b'{"components": [[1.0, 2.0]], "trend": [1.0, 2.0',
+    "not UTF-8": b'{"components": [[1.0, 2.0]], "trend": [1.0, 2.0], "meta": {"by": "\xff"}}',
+    "inconsistent": b'{"components": [[1.0, 2.0, 3.0, 4.0]], "trend": [1.0, 2.0]}',
+}
+
+
+@pytest.mark.parametrize("existing", [None, b"kept"], ids=["new", "existing"])
+@pytest.mark.parametrize("name", FAILING_DECOMPOSITIONS)
+def test_failed_audit_leaves_the_out_dir_as_it_was(tmp_path, capsys, monkeypatch, name, existing):
+    monkeypatch.setattr(serialize, "READ_BLOCK", 8)
+    source = tmp_path / "input.json"
+    source.write_bytes(FAILING_DECOMPOSITIONS[name])
+    out_dir = tmp_path / "out" / "nested"
+    if existing is not None:
+        out_dir.mkdir(parents=True)
+        (out_dir / "decomposition.json").write_bytes(existing)
+    code, out, err = run_cli(capsys, ["audit", str(source), "--out-dir", str(out_dir)])
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    if existing is None:  # the temporary file was in tmp_path, the nearest directory that exists
+        assert os.listdir(tmp_path) == ["input.json"]
+    else:
+        assert os.listdir(out_dir) == ["decomposition.json"]
+        assert (out_dir / "decomposition.json").read_bytes() == existing
+
+
+def test_audit_replaces_the_decomposition_json_already_there(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(serialize, "READ_BLOCK", 8)
+    source = tmp_path / "input.json"
+    source.write_bytes(b'{"components": [[1.0, -1.0, 0.5, 2]], "trend": [0, 0, 1, 1], "meta": {"by": "\xc3\xa9"}}\n')
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "decomposition.json").write_bytes(b"old")
+    code, _, _ = run_cli(capsys, ["audit", str(source), "--out-dir", str(out_dir)])
+    assert code == 0
+    assert (out_dir / "decomposition.json").read_bytes() == source.read_bytes()
+    assert sorted(os.listdir(out_dir)) == [
+        "decomposition.json", "energy_report.json", "energy_report.txt", "manifest.json", "spectrum_comparison.csv"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text", ["{not json", '{"trend": [1, 2]}  x', '{"trend": [1, NaN, 2.5e, 3]}', '\ufeff{"trend": [1]}', "\n\n  ]"]
+)
+def test_malformed_json_is_the_error_json_loads_gives(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    code, out, err = run_cli(capsys, ["audit", str(path)])
+    assert (code, out, err) == (1, "", f"error: {expected.value}\n")
+
+
 def test_manifest_parameters_are_the_parsed_flags(tmp_path, capsys, signal_file):
     config = tmp_path / "bench.json"
     config.write_text(json.dumps({"alpha": 1, "beta": 2, "gamma": 3, "n_list": [16], "p_list": [2]}))
@@ -576,10 +631,11 @@ class TestReportFiles:
 
 
 # Traced peaks of the benchmark's chirp round trip (2^16 samples): about
-# 9.0 MB for decompose and 18.9 MB for audit --out-dir when the tables are
-# streamed, against 26.8 and 21.0 MB when each file was built as one string.
-# Audit's floor is the text it writes back (7.2 MB) beside its parsed lists.
-TRACED_PEAK_MB = {"decompose": 12.0, "audit": 20.0}
+# 8.3 MB for decompose, whose tables are streamed, and 8.5 MB for audit
+# --out-dir, which reads its 7.2 MB input a block at a time and holds one
+# number array's text and list beside the arrays it has made (18.9 MB when it
+# read the whole text and ran json.loads on it).
+TRACED_PEAK_MB = {"decompose": 12.0, "audit": 12.0}
 
 
 def test_traced_peak_of_the_chirp_round_trip(tmp_path, capsys):

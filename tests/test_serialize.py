@@ -1,9 +1,13 @@
+import json
 import math
 from fractions import Fraction
 from itertools import chain, repeat
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lportho._serialize import (
     CHUNK,
@@ -13,6 +17,7 @@ from lportho._serialize import (
     format_float,
     json_writer,
     mirrored_table_writer,
+    read_json,
     read_numbers,
     rows_text,
     table_writer,
@@ -275,9 +280,11 @@ READABLE = [
     "  1.0  \n\n \t \n-2.5e-3\n",
     "# B=2\n1\n2\n3\n4",
     "#comment\n  # B = 3\n1e308\r\n-0.0\r\n5e-324\n",
-    "1_000\ninf\nnan\n  +7\n",
+    "inf\nnan\n  +7\n-Infinity\n",
+    "\n # head\n\n1\n# between\n2\n  #tail\n",
+    "# B=1\r1\r2\r",
 ]
-UNREADABLE = ["", "\n  \n", "# only a comment\n", "1.0 2.0\n", "1.0\n2.0,3.0\n", "1.0\nx\n"]
+UNREADABLE = ["", "\n  \n", "# only a comment\n", "1.0 2.0\n", "1.0\n2.0,3.0\n", "1.0\nx\n", "# h\n1.5 # x\n", "1\n2 3\n"]
 
 
 @pytest.mark.parametrize("text", READABLE, ids=range(len(READABLE)))
@@ -299,7 +306,177 @@ def test_read_numbers_rejects_what_the_line_reader_rejects(tmp_path, text):
         read_by_lines(str(path))
     with pytest.raises(ValueError) as got:
         read_numbers(str(path))
-    assert str(got.value) == str(expected.value)
+    # Both name a file without numbers alike; a line that is not one number
+    # is np.loadtxt's message, or one naming the file.
+    if str(expected.value).startswith("no samples"):
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("line", ["1_000", "\u0661\u0662", "\uff11"], ids=["underscore", "arabic-indic", "fullwidth"])
+def test_read_numbers_takes_only_ascii_decimal_numbers(tmp_path, line):
+    # float() takes digit separators and non-ASCII digits; np.loadtxt, the
+    # one parser of read_numbers, does not.
+    path = tmp_path / "v.csv"
+    path.write_text(f"1\n{line}\n", encoding="utf-8")
+    assert float(line) > 0
+    with pytest.raises(ValueError, match="could not convert"):
+        read_numbers(str(path))
+
+
+# read_json against json.loads, with READ_BLOCK shrunk so that tokens
+# straddle block seams.
+
+
+def loads_with_arrays(text):
+    """json.loads of text, with each nonempty list that np.asarray makes a
+    1-d array of numbers (ints, floats, bools beside them) as that array in
+    float64: the reference for read_json."""
+
+    def convert(x):
+        if isinstance(x, dict):
+            return {k: convert(v) for k, v in x.items()}
+        if isinstance(x, list):
+            try:
+                a = np.asarray(x)
+            except ValueError:  # nested to uneven depths
+                a = None
+            if x and a is not None and a.ndim == 1 and a.dtype.kind in "iuf":
+                return a.astype(np.float64)
+            return [convert(v) for v in x]
+        return x
+
+    return convert(json.loads(text))
+
+
+def same(a, b):
+    """a and b are the same document: types, key order, and array bits."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and b.dtype == a.dtype == np.float64 and b.tobytes() == a.tobytes()
+    if isinstance(a, dict):
+        return type(b) is dict and list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return type(b) is list and len(a) == len(b) and all(map(same, a, b))
+    if type(a) is float and math.isnan(a):
+        return type(b) is float and math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+def assert_reads_like_loads(path, text, block):
+    """read_json of text, written to path, with READ_BLOCK = block: the
+    document json.loads gives, and every byte passed to copy; or json.loads's
+    error, with its message."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    copied = []
+    with mock.patch.object(serialize, "READ_BLOCK", block):
+        try:
+            want = loads_with_arrays(text)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(ValueError) as got:
+                read_json(str(path), copied.append)
+            assert str(got.value) == str(exc)
+            return
+        got = read_json(str(path), copied.append)
+    assert same(want, got), (want, got)
+    assert b"".join(copied) == data
+
+
+SPACE = st.sampled_from(["", " ", "\n", "\t ", "\r\n  "])
+NUMBER = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,4})(\.[0-9]{1,3})?([eE][-+]?[0-9]{1,2})?", fullmatch=True),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "-0", "0.0", "1E+5", "12345678901234567890"]),
+)
+STRING = st.one_of(
+    st.builds(
+        json.dumps, st.text(st.sampled_from('a]{}[,:"\\/ \u00e9\u20ac\U0001d11e\n\t\x00'), max_size=6), ensure_ascii=st.booleans()
+    ),
+    st.sampled_from(['"\\/\\b\\f\\r"', '"\\ud834\\udd1e"', '"]"', '"{"']),
+)
+SCALAR = st.one_of(NUMBER, STRING, st.sampled_from(["true", "false", "null"]))
+
+
+def joined(open_, close, members):
+    """JSON text of a container of members, with spaces around each."""
+    items = st.lists(st.tuples(SPACE, members, SPACE), max_size=5)
+    return st.builds(lambda gap, xs: open_ + gap + ",".join(a + m + b for a, m, b in xs) + close, SPACE, items)
+
+
+def containers(inner):
+    member = st.builds(lambda key, gap, value: key + gap + ":" + value, STRING, SPACE, inner)
+    return st.one_of(
+        joined("[", "]", inner),
+        joined("{", "}", member),
+        joined("[", "]", NUMBER),
+        joined("[", "]", st.one_of(NUMBER, st.sampled_from(["true", "false", "null"]))),
+    )
+
+
+DOCUMENT = st.builds(lambda a, doc, b: a + doc + b, SPACE, st.recursive(SCALAR, containers, max_leaves=24), SPACE)
+EDIT = st.one_of(
+    st.none(), st.tuples(st.integers(0, 10**6), st.sampled_from(["", " ", ",", ":", "[", "]", "{", "}", '"', "1", "e", ".", "-", "x"]))
+)
+
+
+@given(text=DOCUMENT, edit=EDIT, block=st.integers(1, 7))
+@settings(max_examples=250, deadline=None)
+def test_read_json_is_json_loads_across_block_seams(tmp_path_factory, text, edit, block):
+    # An edit replaces one character, or deletes it: most edited documents
+    # are errors, each of which must be json.loads's, at the same offset.
+    if edit is not None:
+        at = edit[0] % (len(text) + 1)
+        text = text[:at] + edit[1] + text[at + 1:]
+    assert_reads_like_loads(tmp_path_factory.getbasetemp() / "doc.json", text, block)
+
+
+SMALL_DOCUMENT = (
+    '{"components": [[1.5, -2e-3, 0], [3E+2, NaN]], "trend": [-0.0, 12, Infinity],\n'
+    ' "meta": {"k": [true, null, "]{\\"\\u00e9\u20ac"], "e": [], "o": {}, "n": -1.25e-7}}\n'
+)
+
+
+@pytest.mark.parametrize("block", range(1, 8))
+def test_every_truncation_of_a_document_fails_as_json_loads_does(tmp_path, block):
+    for end in range(len(SMALL_DOCUMENT) + 1):
+        assert_reads_like_loads(tmp_path / "doc.json", SMALL_DOCUMENT[:end], block)
+
+
+def test_read_json_makes_float64_arrays_of_number_lists_only(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(SMALL_DOCUMENT, encoding="utf-8")
+    doc = read_json(str(path))
+    assert [type(c) for c in doc["components"]] == [np.ndarray, np.ndarray]
+    np.testing.assert_array_equal(doc["trend"], [-0.0, 12.0, math.inf])
+    assert math.copysign(1.0, doc["trend"][0]) == -1.0
+    assert doc["meta"]["k"] == [True, None, ']{"\u00e9\u20ac'] and doc["meta"]["e"] == [] and doc["meta"]["o"] == {}
+
+
+@pytest.mark.parametrize("head", ["[1, x]", '{"a": tru}', '["\\q"]', "[1, 2 3]", '"\\u12x"', '{"a" 1}', "[1, -Infinit]"])
+def test_read_json_reads_no_further_than_an_error_that_no_seam_made(tmp_path, head):
+    # An error more than a token's length before the buffer's end is final,
+    # so a malformed file is not held whole before it is rejected.
+    text = "[" + head + ", [0.5, 1]" * 1000 + "]"
+    copied = []
+    with mock.patch.object(serialize, "READ_BLOCK", 8):
+        assert_reads_like_loads(tmp_path / "doc.json", text, 8)
+        with pytest.raises(ValueError):
+            read_json(str(tmp_path / "doc.json"), copied.append)
+    assert len(b"".join(copied)) <= len(head) + 32
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 20])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'["\xc3\xa9", "\xff"]', "invalid UTF-8 at byte 8: invalid start byte"),
+        (b'"\xe2\x82', "invalid UTF-8 at byte 1: unexpected end of data"),
+        (b'["\xe2\x82\xac", 1, "\xe2\x28\xa1"]', "invalid UTF-8 at byte 12: invalid continuation byte"),
+    ],
+)
+def test_read_json_gives_the_file_offset_of_bytes_that_are_not_utf8(tmp_path, block, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with mock.patch.object(serialize, "READ_BLOCK", block), pytest.raises(ValueError, match=f"^{message}$"):
+        read_json(str(path))
 
 
 # The kernel against its oracle, CPython's correctly rounded "%.17g".
